@@ -114,7 +114,7 @@ def mfd_hp(
     while rounds < cfg.max_rounds:
         rounds += 1
         prob = mwu.MWUProblem(X, colors, quotas, gamma, cfg.eps)
-        xhat = mwu.solve_dense(prob, g=cfg.g)
+        xhat = mwu.solve(prob, g=cfg.g)
         if xhat is not None:
             feasible = (prob, xhat)
             break

@@ -9,10 +9,9 @@ need is the BBD *interface*:
   point sets cover every point of ``B(x, r)`` and include nothing outside
   ``B(x, (1+eps) r)`` — this defines the fuzzy neighborhood S^eps_p of
   the paper (Section 3.1).
-- per-node scalar accumulators with bottom-up path updates (Oracle /
-  Update, Algorithms 2–3);
-- subtree-weight sampling with removal, and boolean deactivation along
-  leaf→root paths (Round, Algorithm 4).
+- ``leaf_paths()``: every point's leaf→root path, along which Oracle and
+  Update (Algorithms 2–3) aggregate per-node sums and Round (Algorithm 4)
+  deactivates nodes (see :mod:`repro.core.mwu`).
 
 Nodes are stored in flat arrays; each node's box is the tight bounding
 box of its subtree's points (tight boxes play the role of BBD shrink
@@ -150,44 +149,17 @@ class KDTree:
             return np.empty(0, dtype=np.int64)
         return np.concatenate([self.points_under(u) for u in nodes])
 
-    def path_to_root(self, node: int):
-        """Yield node ids from ``node`` up to and including the root."""
-        u = node
-        while u != -1:
-            yield u
-            u = self.parent[u]
-
-    def zeros(self) -> np.ndarray:
-        """A fresh per-node float accumulator array."""
-        return np.zeros(self.n_nodes, dtype=np.float64)
-
-    # -- weighted sampling with removal (Round, Algorithm 4) ------------------
-
-    def subtree_sums(self, weights: np.ndarray) -> np.ndarray:
-        """Per-node sum of point weights in each subtree (u_s of Round)."""
-        s = np.zeros(self.n_nodes, dtype=np.float64)
-        for i, w in enumerate(np.asarray(weights, dtype=np.float64)):
-            if w == 0.0:
-                continue
-            for u in self.path_to_root(self.point_leaf[i]):
-                s[u] += w
-        return s
-
-    def sample_and_remove(self, sums: np.ndarray, rng: np.random.Generator) -> int:
-        """Sample a point with prob proportional to its remaining weight,
-        then zero its weight along the leaf→root path. Returns the point
-        index, or -1 if no weight remains."""
-        if sums[0] <= 0.0:
-            return -1
-        u = 0
-        while self.leaf_point[u] < 0:
-            l, r = self.left[u], self.right[u]
-            tot = sums[l] + sums[r]
-            if tot <= 0.0:
-                return -1
-            u = l if rng.random() < sums[l] / tot else r
-        p = int(self.leaf_point[u])
-        w = sums[u]
-        for v in self.path_to_root(u):
-            sums[v] -= w
-        return p
+    def leaf_paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(point, node)`` index pairs, one per node on each point's
+        leaf→root path; sorted by point, leaf first within a point."""
+        pts = np.arange(len(self.X))
+        nodes = self.point_leaf
+        out_pts, out_nodes = [], []
+        while len(nodes):
+            out_pts.append(pts)
+            out_nodes.append(nodes)
+            up = self.parent[nodes]
+            pts, nodes = pts[up >= 0], up[up >= 0]
+        pts, nodes = np.concatenate(out_pts), np.concatenate(out_nodes)
+        order = np.argsort(pts, kind="stable")
+        return pts[order], nodes[order]

@@ -73,11 +73,15 @@ def mfd(
 ) -> MFDResult:
     """Solve FairDiv on ``(X, colors)`` with per-color quotas.
 
-    ``backend='dense'`` uses exact-ball neighborhoods (right choice at
-    coreset scale); ``backend='tree'`` runs the paper's Algorithms 2–4 on
-    a BBD-style KD-tree. ``trim`` optionally drops surplus points of
-    over-quota colors (in reverse sampling order) — diversity can only
-    increase; the default False matches the paper's rounding output.
+    ``backend`` picks the LP2 neighborhoods S^eps_p, the only thing it
+    changes (see :mod:`repro.core.mwu`): ``'dense'`` uses exact balls
+    (right choice at coreset scale); ``'tree'`` uses a BBD-style KD-tree's
+    canonical-node covers, the paper's Algorithms 2–4.
+    ``extras['lp2_violation']`` is the additive error of Constraints (11)
+    over those neighborhoods at the certified gamma. ``trim`` optionally
+    drops surplus points of over-quota colors (in reverse sampling order)
+    — diversity can only increase; the default False matches the paper's
+    rounding output.
     """
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
@@ -90,16 +94,10 @@ def mfd(
         raise ValueError(f"infeasible quotas: need {quotas.tolist()}, have {counts.tolist()}")
 
     tree = KDTree(X) if backend == "tree" else None
-    solve = (lambda p: mwu.solve_tree(p, g=g, tree=tree)) if backend == "tree" else (
-        lambda p: mwu.solve_dense(p, g=g)
-    )
-    rounder = (lambda p, xh: mwu.round_tree(p, xh, rng, tree=tree)) if backend == "tree" else (
-        lambda p, xh: mwu.round_dense(p, xh, rng)
-    )
 
     def attempt(gamma: float):
-        prob = mwu.MWUProblem(X, colors, quotas, gamma, eps)
-        xhat = solve(prob)
+        prob = mwu.MWUProblem(X, colors, quotas, gamma, eps, tree)
+        xhat = mwu.solve(prob, g=g)
         return None if xhat is None else (prob, xhat)
 
     rounds = 0
@@ -139,7 +137,7 @@ def mfd(
         return MFDResult(sel, 0.0, float("inf"), colors[sel], missed_per_color(colors[sel], quotas), rounds)
 
     prob, xhat = feasible
-    sel = rounder(prob, xhat)
+    sel = mwu.round_solution(prob, xhat, rng)
     if trim:
         sel = _trim_to_quotas(sel, colors, quotas)
     sel_colors = colors[sel]
@@ -150,7 +148,7 @@ def mfd(
         colors=sel_colors,
         missed=missed_per_color(sel_colors, quotas),
         n_mwu_rounds=rounds,
-        extras={"lp2_violation": mwu.lp2_violation(prob, xhat) if len(X) <= 4000 else None},
+        extras={"lp2_violation": mwu.lp2_violation(prob, xhat)},
     )
 
 

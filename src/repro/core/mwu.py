@@ -1,27 +1,28 @@
 """MWU solver for (LP2) — the paper's Algorithms 2 (Oracle), 3 (Update),
-4 (Round) — with two interchangeable backends.
+4 (Round) — over one neighborhood incidence.
 
-``tree`` backend — the paper's near-linear algorithms verbatim: the
-neighborhood S^eps_p is the union of canonical subtrees of the BBD-style
-query ``T(p, gamma/(2(1+eps)))``; Oracle accumulates h along canonical
-nodes and reads coefficients bottom-up; Update pushes the k-sparse
-solution up leaf→root paths and reads row sums via canonical queries;
-Round samples from subtree weights and rejects via node deactivation.
+LP2's constraint matrix A has A[l, i] = 1 iff point i is in S^eps_l. For a
+fixed gamma it factors as A = B P^T over a set of nodes: B[l, u] = 1 iff
+node u is one of the disjoint nodes covering S^eps_l, and P[i, u] = 1 iff
+point i lies under node u. :class:`Incidence` holds B and P as index
+arrays, built once per gamma; Oracle reads w = A^T h = P (B^T h), Update
+reads A x = B (P^T x), each two ``np.bincount`` calls, and Round blocks
+nodes. Only the build depends on the neighborhood kind:
 
-``dense`` backend — the exact-ball instantiation of S^eps_p (the ball of
-radius gamma/(2(1+eps)) contains every point within gamma/(2(1+eps)) and
-nothing beyond gamma/2, so it is a *valid* S^eps_p with zero fuzz). At
-coreset scale N = m*k, the O(N^2) numpy matrix-vector products are far
-faster than Python tree traversals, which is why MFD-on-coreset uses it
-by default; the tree backend is what delivers the paper's O(n k log^3 n)
-bound when run on the full point set, and both are exercised by tests.
+- exact balls (``MWUProblem.tree is None``): the nodes are the points, B
+  is the ball matrix (the ball of radius gamma/(2(1+eps)) is a *valid*
+  S^eps_p with zero fuzz) and P is the identity;
+- tree covers: B lists each point's canonical nodes of the BBD-style
+  query ``T(p, gamma/(2(1+eps)))`` and P each point's leaf→root path —
+  the paper's near-linear Algorithms 2–4.
 
-Both backends implement a rho-ORACLE with rho = k (the oracle solution
-sets exactly k variables to 1, so A_i x - b_i in [-1, k-1]).
+The oracle is a rho-ORACLE with rho = k (its solution sets exactly k
+variables to 1, so A_i x - b_i in [-1, k-1]).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,40 +31,87 @@ from .kdtree import KDTree
 
 
 @dataclass
+class Incidence:
+    """A = B P^T as (point, node) index pairs, both sorted by point."""
+
+    n_points: int
+    n_nodes: int
+    cover_pt: np.ndarray  # B: node cover_node[e] covers part of S^eps_{cover_pt[e]}
+    cover_node: np.ndarray
+    member_pt: np.ndarray  # P: point member_pt[e] lies under node member_node[e]
+    member_node: np.ndarray
+
+    def __post_init__(self) -> None:
+        bounds = np.arange(self.n_points + 1)
+        self._cover_ptr = np.searchsorted(self.cover_pt, bounds)
+        self._member_ptr = np.searchsorted(self.member_pt, bounds)
+
+    def coeffs(self, h: np.ndarray) -> np.ndarray:
+        """A^T h: w_i = sum of h_l over the l with i in S^eps_l."""
+        per_node = np.bincount(self.cover_node, weights=h[self.cover_pt], minlength=self.n_nodes)
+        return np.bincount(self.member_pt, weights=per_node[self.member_node], minlength=self.n_points)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """A x: row l is the x-mass of S^eps_l."""
+        per_node = np.bincount(self.member_node, weights=x[self.member_pt], minlength=self.n_nodes)
+        return np.bincount(self.cover_pt, weights=per_node[self.cover_node], minlength=self.n_points)
+
+    def covers(self, i: int) -> np.ndarray:
+        """Nodes covering S^eps_i."""
+        return self.cover_node[self._cover_ptr[i] : self._cover_ptr[i + 1]]
+
+    def members(self, i: int) -> np.ndarray:
+        """Nodes that point i lies under."""
+        return self.member_node[self._member_ptr[i] : self._member_ptr[i + 1]]
+
+
+@dataclass(frozen=True)
 class MWUProblem:
-    """A FairDiv LP2 instance at a fixed candidate diversity gamma."""
+    """A FairDiv LP2 instance at a fixed candidate diversity gamma.
+
+    ``tree`` (a KD-tree over ``X``) selects tree-cover neighborhoods;
+    ``None`` selects exact balls. Frozen, because :attr:`incidence` is
+    cached from the fields.
+    """
 
     X: np.ndarray  # (n, d) points
     colors: np.ndarray  # (n,) int color ids
     quotas: np.ndarray  # (m,) k_j
     gamma: float
     eps: float
+    tree: KDTree | None = None
 
     @property
     def radius(self) -> float:
         """The LP2 ball radius gamma / (2 (1 + eps))."""
         return self.gamma / (2.0 * (1.0 + self.eps))
 
-
-# --------------------------------------------------------------------------
-# Dense backend
-# --------------------------------------------------------------------------
+    @cached_property
+    def incidence(self) -> Incidence:
+        """This gamma's neighborhood incidence, shared by solve, round and
+        :func:`lp2_violation`."""
+        n = len(self.X)
+        if self.tree is None:
+            cover_pt, cover_node = np.nonzero(pairwise_distances(self.X) <= self.radius)
+            ident = np.arange(n)
+            return Incidence(n, n, cover_pt, cover_node, ident, ident)
+        covers = [self.tree.canonical_nodes(x, self.radius, self.eps) for x in self.X]
+        cover_pt = np.repeat(np.arange(n), [len(c) for c in covers])
+        cover_node = np.array([u for c in covers for u in c], dtype=np.int64)
+        return Incidence(n, self.tree.n_nodes, cover_pt, cover_node, *self.tree.leaf_paths())
 
 
 def _color_index_lists(colors: np.ndarray, m: int) -> list[np.ndarray]:
     return [np.where(colors == j)[0] for j in range(m)]
 
 
-def _oracle_dense(
-    A: np.ndarray, h: np.ndarray, by_color: list[np.ndarray], quotas: np.ndarray
+def _oracle(
+    inc: Incidence, h: np.ndarray, by_color: list[np.ndarray], quotas: np.ndarray
 ) -> np.ndarray | None:
-    """Algorithm 2 with an explicit symmetric 0/1 matrix A.
-
-    Coefficients w = A h (A symmetric). Minimizes h^T A x over x in P by
-    taking the k_j smallest-coefficient points per color; feasible iff
-    the minimum is <= 1.
-    """
-    w = A @ h
+    """Algorithm 2: minimizes h^T A x over x in P by taking the k_j
+    smallest-coefficient points per color, with coefficients w = A^T h;
+    feasible iff the minimum is <= 1."""
+    w = inc.coeffs(h)
     sel = []
     for j, kj in enumerate(quotas):
         if kj == 0:
@@ -81,177 +129,68 @@ def _oracle_dense(
     return xbar
 
 
-def solve_dense(prob: MWUProblem, *, g: float = 0.3, T_full: int | None = None) -> np.ndarray | None:
-    """MWU main loop on the dense backend. Returns x_hat or None (infeasible).
+def solve(prob: MWUProblem, *, g: float = 0.3, T_full: int | None = None) -> np.ndarray | None:
+    """MWU main loop. Returns x_hat or None (infeasible).
 
     Runs T = ceil(g * T_full) iterations with T_full = ceil(eps^-2 k ln n)
     (the paper's early-stopping parameterization, Section 6).
     """
     n = len(prob.X)
     k = int(prob.quotas.sum())
-    m = len(prob.quotas)
     if k == 0:
         return np.zeros(n)
     if T_full is None:
         T_full = int(np.ceil(prob.eps**-2 * k * np.log(max(n, 2))))
     T = max(1, int(np.ceil(g * T_full)))
-    A = (pairwise_distances(prob.X) <= prob.radius).astype(np.float64)
-    by_color = _color_index_lists(prob.colors, m)
+    inc = prob.incidence
+    by_color = _color_index_lists(prob.colors, len(prob.quotas))
     h = np.full(n, 1.0 / n)
     xhat = np.zeros(n)
     eta = prob.eps / 4.0
     for _ in range(T):
-        xbar = _oracle_dense(A, h, by_color, prob.quotas)
+        xbar = _oracle(inc, h, by_color, prob.quotas)
         if xbar is None:
             return None
         xhat += xbar
         # Algorithm 3: delta_l = (A_l xbar - 1) / k; h_l *= (1 + eta delta_l).
-        row = A @ xbar
-        delta = (row - 1.0) / k
+        delta = (inc.rows(xbar) - 1.0) / k
         h *= 1.0 + eta * delta
         h /= h.sum()
     return xhat / T
 
 
-def round_dense(
-    prob: MWUProblem, xhat: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Algorithm 4 with exact-ball rejection.
-
-    Sequential weighted sampling without replacement (Gumbel-top-k order)
-    over positive-weight points; a sampled point joins S iff no earlier
-    member of S is within the LP2 radius. Returns selected indices in
-    sampling order.
+def round_solution(prob: MWUProblem, xhat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Algorithm 4: visit the positive-weight points in one Gumbel-top-k
+    order (the distribution of sequential weighted sampling without
+    replacement); a point joins S iff none of its cover nodes is blocked,
+    and joining blocks the nodes it lies under. For exact balls this
+    rejects points within the LP2 radius of an earlier member of S; for
+    tree covers it is the paper's leaf→root deactivation. Returns selected
+    indices in sampling order.
     """
     pos = np.where(xhat > 0)[0]
     if len(pos) == 0:
         return np.empty(0, dtype=np.int64)
     gumbel = rng.gumbel(size=len(pos))
     order = pos[np.argsort(-(np.log(xhat[pos]) + gumbel))]
-    r = prob.radius
+    inc = prob.incidence
+    blocked = np.zeros(inc.n_nodes, dtype=bool)
     S: list[int] = []
-    SX = np.empty((0, prob.X.shape[1]))
     for i in order:
-        if len(S) == 0:
+        if not blocked[inc.covers(i)].any():
             S.append(int(i))
-            SX = prob.X[[i]]
-            continue
-        d = np.sqrt(((SX - prob.X[i]) ** 2).sum(axis=1))
-        if d.min() > r:
-            S.append(int(i))
-            SX = np.vstack([SX, prob.X[i]])
+            blocked[inc.members(i)] = True
     return np.array(S, dtype=np.int64)
 
 
-# --------------------------------------------------------------------------
-# Tree backend (Algorithms 2–4, near-linear)
-# --------------------------------------------------------------------------
-
-
-def _oracle_tree(
-    tree: KDTree,
-    prob: MWUProblem,
-    h: np.ndarray,
-    by_color: list[np.ndarray],
-) -> np.ndarray | None:
-    """Algorithm 2: coefficients via canonical-node accumulation."""
-    n = len(prob.X)
-    us = tree.zeros()
-    canon = [tree.canonical_nodes(prob.X[ell], prob.radius, prob.eps) for ell in range(n)]
-    for ell in range(n):
-        for u in canon[ell]:
-            us[u] += h[ell]
-    w = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for u in tree.path_to_root(tree.point_leaf[i]):
-            acc += us[u]
-        w[i] = acc
-    sel = []
-    for j, kj in enumerate(prob.quotas):
-        if kj == 0:
-            continue
-        idx = by_color[j]
-        if len(idx) < kj:
-            return None
-        part = np.argpartition(w[idx], kj - 1)[:kj]
-        sel.append(idx[part])
-    sel = np.concatenate(sel) if sel else np.empty(0, dtype=np.int64)
-    if w[sel].sum() > 1.0 + 1e-12:
-        return None
-    xbar = np.zeros(n)
-    xbar[sel] = 1.0
-    return xbar
-
-
-def _update_tree(
-    tree: KDTree, prob: MWUProblem, h: np.ndarray, xbar: np.ndarray, k: int
-) -> np.ndarray:
-    """Algorithm 3: row sums A_l xbar via subtree weights + canonical query."""
-    uw = tree.zeros()
-    for i in np.where(xbar > 0)[0]:
-        for u in tree.path_to_root(tree.point_leaf[i]):
-            uw[u] += xbar[i]
-    n = len(prob.X)
-    eta = prob.eps / 4.0
-    for ell in range(n):
-        R = sum(uw[u] for u in tree.canonical_nodes(prob.X[ell], prob.radius, prob.eps))
-        delta = (R - 1.0) / k
-        h[ell] *= 1.0 + eta * delta
-    return h / h.sum()
-
-
-def solve_tree(
-    prob: MWUProblem, *, g: float = 0.3, T_full: int | None = None, tree: KDTree | None = None
-) -> np.ndarray | None:
-    """MWU main loop using the BBD-style tree (the paper's near-linear path)."""
-    n = len(prob.X)
-    k = int(prob.quotas.sum())
-    m = len(prob.quotas)
-    if k == 0:
-        return np.zeros(n)
-    if T_full is None:
-        T_full = int(np.ceil(prob.eps**-2 * k * np.log(max(n, 2))))
-    T = max(1, int(np.ceil(g * T_full)))
-    tree = tree or KDTree(prob.X)
-    by_color = _color_index_lists(prob.colors, m)
-    h = np.full(n, 1.0 / n)
-    xhat = np.zeros(n)
-    for _ in range(T):
-        xbar = _oracle_tree(tree, prob, h, by_color)
-        if xbar is None:
-            return None
-        xhat += xbar
-        h = _update_tree(tree, prob, h, xbar, k)
-    return xhat / T
-
-
-def round_tree(
-    prob: MWUProblem,
-    xhat: np.ndarray,
-    rng: np.random.Generator,
-    tree: KDTree | None = None,
-) -> np.ndarray:
-    """Algorithm 4 verbatim: sample from subtree sums, reject via the
-    boolean deactivation of canonical nodes, deactivate leaf→root."""
-    tree = tree or KDTree(prob.X)
-    sums = tree.subtree_sums(xhat)
-    ub = np.ones(tree.n_nodes, dtype=bool)
-    S: list[int] = []
-    while True:
-        p = tree.sample_and_remove(sums, rng)
-        if p < 0:
-            break
-        nodes = tree.canonical_nodes(prob.X[p], prob.radius, prob.eps)
-        if all(ub[u] for u in nodes):
-            S.append(p)
-            for u in tree.path_to_root(tree.point_leaf[p]):
-                ub[u] = False
-    return np.array(S, dtype=np.int64)
+# Names perfbench/worker.py's tracer looks up. It wraps by ``__name__``, so
+# each wraps ``solve`` or ``round_solution``, the attributes mfd calls.
+solve_dense = solve_tree = solve
+round_dense = round_tree = round_solution
 
 
 def lp2_violation(prob: MWUProblem, xhat: np.ndarray) -> float:
-    """Max over points p of (sum_{i in ball(p, radius)} x_i) - 1 — the
-    additive error of Constraints (11); MWU guarantees <= eps for full T."""
-    A = pairwise_distances(prob.X) <= prob.radius
-    return float((A @ xhat).max() - 1.0)
+    """Max over points p of (sum_{i in S^eps_p} x_i) - 1 — the additive
+    error of Constraints (11) over the neighborhoods MWU solved (exact
+    balls, or tree covers); MWU guarantees <= eps for full T."""
+    return float(prob.incidence.rows(xhat).max() - 1.0)

@@ -56,8 +56,10 @@ def test_canonical_cover_soundness(seed, eps):
 def test_path_to_root(seed):
     X = _rand(33, 3, seed)
     t = KDTree(X)
+    pts, nodes = t.leaf_paths()
+    assert np.all(np.diff(pts) >= 0)
     for i in (0, 10, 32):
-        path = list(t.path_to_root(t.point_leaf[i]))
+        path = nodes[pts == i].tolist()
         assert path[0] == t.point_leaf[i]
         assert path[-1] == 0
         for a, b in zip(path, path[1:]):
@@ -66,41 +68,17 @@ def test_path_to_root(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_subtree_sums_match_bruteforce(seed):
+    """Summing point weights along the leaf→root paths gives each node's
+    subtree sum (the P^T x that MWU's Update reads)."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(40, 2))
     w = rng.random(40)
     w[rng.random(40) < 0.3] = 0.0
     t = KDTree(X)
-    s = t.subtree_sums(w)
+    pts, nodes = t.leaf_paths()
+    s = np.bincount(nodes, weights=w[pts], minlength=t.n_nodes)
     for u in range(t.n_nodes):
-        pts = t.points_under(u)
-        assert s[u] == pytest.approx(w[pts].sum(), abs=1e-9)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_sample_and_remove_distribution(seed):
-    """Weighted sampling w/o replacement: frequencies of the first draw
-    track the weights, and removal is exhaustive and duplicate-free."""
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(6, 2))
-    w = np.array([0.4, 0.0, 0.3, 0.1, 0.15, 0.05])
-    t = KDTree(X)
-    counts = np.zeros(6)
-    trials = 4000
-    for _ in range(trials):
-        sums = t.subtree_sums(w)
-        counts[t.sample_and_remove(sums, rng)] += 1
-    freq = counts / trials
-    np.testing.assert_allclose(freq, w / w.sum(), atol=0.03)
-    # Exhaustive drain.
-    sums = t.subtree_sums(w)
-    drawn = []
-    while True:
-        p = t.sample_and_remove(sums, rng)
-        if p < 0:
-            break
-        drawn.append(p)
-    assert sorted(drawn) == [0, 2, 3, 4, 5]  # zero-weight point never drawn
+        assert s[u] == pytest.approx(w[t.points_under(u)].sum(), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [10, 100, 1000])

@@ -1,10 +1,12 @@
-"""MWU Oracle / Update / Round — both backends, vs brute-force references."""
+"""MWU Oracle / Update / Round over both neighborhood kinds, vs
+brute-force references."""
 import numpy as np
 import pytest
 
 from repro.core import mwu
 from repro.core.exact import ball_matrix
 from repro.core.geometry import diversity, pairwise_distances
+from repro.core.kdtree import KDTree
 
 
 def _instance(n=40, d=2, m=3, seed=0):
@@ -14,6 +16,49 @@ def _instance(n=40, d=2, m=3, seed=0):
     # Ensure every color is present.
     colors[:m] = np.arange(m)
     return X, colors
+
+
+def _problem(X, colors, quotas, gamma, eps, kind):
+    """An LP2 instance with exact-ball ("dense") or tree-cover ("tree")
+    neighborhoods."""
+    tree = KDTree(X) if kind == "tree" else None
+    return mwu.MWUProblem(X, colors, quotas, gamma, eps, tree)
+
+
+def _reference_matrix(prob):
+    """A[l, i] = 1 iff i in S^eps_l, materialized without the incidence:
+    the exact ball matrix, or the tree's own fuzzy-ball members."""
+    if prob.tree is None:
+        return ball_matrix(prob.X, prob.radius).astype(float)
+    n = len(prob.X)
+    A = np.zeros((n, n))
+    for ell in range(n):
+        A[ell, prob.tree.fuzzy_ball_members(prob.X[ell], prob.radius, prob.eps)] = 1.0
+    return A
+
+
+@pytest.mark.parametrize("kind", ["dense", "tree"])
+@pytest.mark.parametrize("seed", range(3))
+def test_incidence_matches_neighborhood_matrix(kind, seed):
+    """coeffs(h) = A^T h and rows(x) = A x against the materialized A (the
+    tree's A is not symmetric, so both directions are checked)."""
+    X, colors = _instance(n=30, seed=seed)
+    prob = _problem(X, colors, np.array([1, 1, 1]), gamma=2.5, eps=0.5, kind=kind)
+    A = _reference_matrix(prob)
+    assert kind == "dense" or (A != A.T).any()
+    rng = np.random.default_rng(seed)
+    h, x = rng.random(len(X)), rng.random(len(X))
+    np.testing.assert_allclose(prob.incidence.coeffs(h), A.T @ h, atol=1e-12)
+    np.testing.assert_allclose(prob.incidence.rows(x), A @ x, atol=1e-12)
+    # The per-point node lists Round reads: covers(i) spans S^eps_i, and
+    # members(i) are exactly the nodes whose points include i.
+    under = prob.tree.points_under if kind == "tree" else (lambda u: np.array([u]))
+    n_nodes = prob.incidence.n_nodes
+    for i in range(len(X)):
+        covered = np.concatenate([under(u) for u in prob.incidence.covers(i)])
+        assert sorted(covered.tolist()) == np.flatnonzero(A[i]).tolist()
+        holding = [u for u in range(n_nodes) if i in under(u)]
+        assert sorted(prob.incidence.members(i).tolist()) == holding
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -28,7 +73,7 @@ def test_oracle_dense_matches_bruteforce_minimum(seed):
     h = rng.random(len(X))
     h /= h.sum()
     by_color = mwu._color_index_lists(colors, 3)
-    xbar = mwu._oracle_dense(A, h, by_color, quotas)
+    xbar = mwu._oracle(prob.incidence, h, by_color, quotas)
     w = A @ h
     if xbar is None:
         # Then even the minimal selection exceeds 1.
@@ -45,25 +90,17 @@ def test_oracle_dense_matches_bruteforce_minimum(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tree_oracle_coefficients_match_fuzzy_neighborhoods(seed):
-    """Tree Oracle coefficients w_i equal sum of h over fuzzy-ball
+    """Oracle coefficients over tree covers equal sum of h over fuzzy-ball
     membership — cross-checked by materializing S^eps via the same tree."""
-    from repro.core.kdtree import KDTree
-
     X, colors = _instance(n=30, seed=seed)
     quotas = np.array([1, 1, 1])
-    prob = mwu.MWUProblem(X, colors, quotas, gamma=2.5, eps=0.5)
-    tree = KDTree(X)
+    prob = _problem(X, colors, quotas, gamma=2.5, eps=0.5, kind="tree")
     rng = np.random.default_rng(seed)
     h = rng.random(len(X))
     h /= h.sum()
-    # Reference: A[l, i] = 1 iff i in S^eps_{p_l} per the tree's own cover.
-    n = len(X)
-    A = np.zeros((n, n))
-    for ell in range(n):
-        A[ell, tree.fuzzy_ball_members(X[ell], prob.radius, prob.eps)] = 1.0
-    w_ref = A.T @ h
+    w_ref = _reference_matrix(prob).T @ h
     by_color = mwu._color_index_lists(colors, 3)
-    xbar = mwu._oracle_tree(tree, prob, h, by_color)
+    xbar = mwu._oracle(prob.incidence, h, by_color, quotas)
     # Recompute the oracle on reference coefficients.
     sel_ref = []
     for j in range(3):
@@ -81,9 +118,8 @@ def test_tree_oracle_coefficients_match_fuzzy_neighborhoods(seed):
 def test_solve_satisfies_trivial_constraints(backend, seed):
     X, colors = _instance(seed=seed)
     quotas = np.array([2, 2, 2])
-    prob = mwu.MWUProblem(X, colors, quotas, gamma=1.0, eps=1.0)
-    solve = mwu.solve_dense if backend == "dense" else mwu.solve_tree
-    xhat = solve(prob, g=1.0)
+    prob = _problem(X, colors, quotas, gamma=1.0, eps=1.0, kind=backend)
+    xhat = mwu.solve(prob, g=1.0)
     assert xhat is not None
     # Constraints (10) and (12) hold exactly (P is satisfied by every oracle).
     for j in range(3):
@@ -99,9 +135,12 @@ def test_solve_full_T_bounds_lp2_violation():
     eps = 0.5
     # Large pairwise distances: pick gamma small so LP2 is clearly feasible.
     prob = mwu.MWUProblem(X, colors, quotas, gamma=0.5, eps=eps)
-    xhat = mwu.solve_dense(prob, g=1.0)
+    xhat = mwu.solve(prob, g=1.0)
     assert xhat is not None
     assert mwu.lp2_violation(prob, xhat) <= eps + 1e-9
+    # Same value as the brute-force ball matrix gives.
+    A = ball_matrix(X, prob.radius).astype(float)
+    assert mwu.lp2_violation(prob, xhat) == pytest.approx((A @ xhat).max() - 1.0, abs=1e-12)
 
 
 def test_infeasible_when_gamma_huge():
@@ -110,9 +149,9 @@ def test_infeasible_when_gamma_huge():
     X, colors = _instance(n=25, seed=2)
     quotas = np.array([3, 3, 3])
     span = float(pairwise_distances(X).max())
-    prob = mwu.MWUProblem(X, colors, quotas, gamma=10 * span, eps=0.5)
-    assert mwu.solve_dense(prob, g=0.3) is None
-    assert mwu.solve_tree(prob, g=0.3) is None
+    for kind in ("dense", "tree"):
+        prob = _problem(X, colors, quotas, gamma=10 * span, eps=0.5, kind=kind)
+        assert mwu.solve(prob, g=0.3) is None
 
 
 @pytest.mark.parametrize("backend", ["dense", "tree"])
@@ -123,15 +162,10 @@ def test_round_separation(backend, seed):
     because conflicts only widen)."""
     X, colors = _instance(n=50, seed=seed)
     quotas = np.array([2, 2, 2])
-    prob = mwu.MWUProblem(X, colors, quotas, gamma=1.2, eps=1.0)
-    xhat = mwu.solve_dense(prob, g=0.5)
+    xhat = mwu.solve(mwu.MWUProblem(X, colors, quotas, gamma=1.2, eps=1.0), g=0.5)
     assert xhat is not None
-    rng = np.random.default_rng(seed)
-    sel = (
-        mwu.round_dense(prob, xhat, rng)
-        if backend == "dense"
-        else mwu.round_tree(prob, xhat, rng)
-    )
+    prob = _problem(X, colors, quotas, gamma=1.2, eps=1.0, kind=backend)
+    sel = mwu.round_solution(prob, xhat, np.random.default_rng(seed))
     assert len(sel) == len(set(sel.tolist()))
     if len(sel) >= 2:
         assert diversity(X[sel]) > prob.radius - 1e-9
@@ -139,19 +173,20 @@ def test_round_separation(backend, seed):
     assert np.all(xhat[sel] > 0)
 
 
-def test_round_fairness_in_expectation():
+@pytest.mark.parametrize("kind", ["dense", "tree"])
+def test_round_fairness_in_expectation(kind):
     """Monte-Carlo check of Lemma 3.1: E[|S(c_j)|] >= k_j / (1 + eps)."""
     X, colors = _instance(n=40, seed=3)
     quotas = np.array([2, 2, 2])
     eps = 1.0
-    prob = mwu.MWUProblem(X, colors, quotas, gamma=1.0, eps=eps)
-    xhat = mwu.solve_dense(prob, g=1.0)
+    prob = _problem(X, colors, quotas, gamma=1.0, eps=eps, kind=kind)
+    xhat = mwu.solve(prob, g=1.0)
     assert xhat is not None
     rng = np.random.default_rng(0)
     trials = 300
     got = np.zeros(3)
     for _ in range(trials):
-        sel = mwu.round_dense(prob, xhat, rng)
+        sel = mwu.round_solution(prob, xhat, rng)
         for j in range(3):
             got[j] += (colors[sel] == j).sum()
     got /= trials

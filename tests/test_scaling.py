@@ -65,17 +65,17 @@ def test_mwu_iteration_count_matches_theory(n):
     prob = mwu.MWUProblem(X, colors, quotas, gamma=0.1, eps=1.0)
     # Count oracle calls by monkey-patching.
     calls = {"n": 0}
-    orig = mwu._oracle_dense
+    orig = mwu._oracle
 
     def counting(*a, **k):
         calls["n"] += 1
         return orig(*a, **k)
 
-    mwu._oracle_dense = counting
+    mwu._oracle = counting
     try:
-        mwu.solve_dense(prob, g=0.3)
+        mwu.solve(prob, g=0.3)
     finally:
-        mwu._oracle_dense = orig
+        mwu._oracle = orig
     expect = int(np.ceil(0.3 * np.ceil(4 * np.log(n))))
     assert calls["n"] == expect
 
