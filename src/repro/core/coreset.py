@@ -11,21 +11,23 @@ This module is the only part of the pipeline that touches all n points;
 everything downstream (MWU, rounding, baselines-on-coreset) works on the
 O(m k) coreset on the driver, exactly as in the authors' artifact.
 
-Spark pipeline shape::
+Spark pipeline shape (one job, one task per task slot)::
 
-    df.groupBy(color, spark_partition_id())
-      .applyInPandas(local_gonzalez)      # map: O(n_part * k) numpy flops
-      .groupBy(color)
-      .applyInPandas(merge_gonzalez)      # reduce: O(P * k^2) per color
+    df.select(x0.., color)
+      .coalesce(defaultParallelism)       # narrow: no shuffle
+      .mapInPandas(coreset_numpy)         # per-color Gonzalez over a slot's rows
+      .toPandas()                         # O(m * slots * k) partial centers
+    coreset_numpy(partial centers)        # per-color merge on the driver
 
-Shuffle volume after the map stage is O(m * partitions * k) rows.
+Each Python task has a fixed cost (0.05-0.07 s on a 4-core VM) well above
+its Gonzalez work at bench scale, so the pass runs one task per slot rather
+than one per partition or per color; see EXPERIMENTS.md ("Spark coreset").
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from .gonzalez import gonzalez
 
@@ -43,7 +45,7 @@ def coreset_numpy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Serial reference: per-color Gonzalez (the authors' implementation:
     k iterations per color, coreset size <= m*k). Returns (indices, colors)."""
-    out = []
+    out = [np.empty(0, dtype=np.int64)]  # no colors (empty input): empty coreset
     for j in np.unique(colors):
         idx = np.where(colors == j)[0]
         out.append(idx[gonzalez(X[idx], per_color_k)])
@@ -51,50 +53,35 @@ def coreset_numpy(
     return sel, np.asarray(colors)[sel]
 
 
-def coreset_spark(
-    df: DataFrame,
-    per_color_k: int,
-    *,
-    color_col: str = "color",
-    two_stage: bool = True,
-) -> pd.DataFrame:
-    """Distributed per-color coreset; returns the O(m k) coreset as pandas.
+def coreset_arrays(
+    df: DataFrame, per_color_k: int, *, color_col: str = "color"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distributed per-color coreset as (X, colors) numpy arrays.
 
-    ``two_stage=True`` runs the composable map/reduce pipeline above;
-    ``two_stage=False`` runs one Gonzalez task per color (useful to
-    validate that the composable variant loses nothing that matters).
+    One Spark job: the rows are coalesced to one partition per task slot
+    (``defaultParallelism``) and each task runs :func:`coreset_numpy` over
+    its partition; the O(m * slots * k) partial centers are collected and
+    merged on the driver by :func:`coreset_numpy` again.
     """
     feats = feature_columns(df)
-    schema = df.select(*feats, color_col).schema
-
-    def local(pdf: pd.DataFrame) -> pd.DataFrame:
-        X = pdf[feats].to_numpy(dtype=np.float64)
-        idx = gonzalez(X, per_color_k)
-        return pdf.iloc[idx][feats + [color_col]]
-
     work = df.select(*feats, color_col)
-    if two_stage:
-        staged = (
-            work.withColumn("_pid", F.spark_partition_id())
-            .groupBy(color_col, "_pid")
-            .applyInPandas(lambda p: local(p), schema=schema)
-        )
-    else:
-        staged = work
-    final = staged.groupBy(color_col).applyInPandas(lambda p: local(p), schema=schema)
-    return final.toPandas()
 
+    def local(batches):
+        parts = list(batches)
+        if parts:
+            pdf = pd.concat(parts, ignore_index=True)
+            sel, _ = coreset_numpy(
+                pdf[feats].to_numpy(dtype=np.float64),
+                pdf[color_col].to_numpy(dtype=np.int64),
+                per_color_k,
+            )
+            yield pdf.iloc[sel]
 
-def coreset_arrays(
-    df: DataFrame, per_color_k: int, *, color_col: str = "color", two_stage: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience: distributed coreset as (X, colors) numpy arrays."""
-    pdf = coreset_spark(df, per_color_k, color_col=color_col, two_stage=two_stage)
-    feats = feature_columns(pdf)
-    return (
-        pdf[feats].to_numpy(dtype=np.float64),
-        pdf[color_col].to_numpy(dtype=np.int64),
-    )
+    slots = df.sparkSession.sparkContext.defaultParallelism
+    pdf = work.coalesce(slots).mapInPandas(local, schema=work.schema).toPandas()
+    X = pdf[feats].to_numpy(dtype=np.float64)
+    sel, colors = coreset_numpy(X, pdf[color_col].to_numpy(dtype=np.int64), per_color_k)
+    return X[sel], colors
 
 
 def to_spark_points(

@@ -1,16 +1,17 @@
 """Gonzalez greedy k-center — the workhorse behind coresets (Theorem 4.2).
 
-Three entry points:
+Two entry points:
 
 - :func:`gonzalez` — classic serial farthest-point traversal, vectorized
   with an incremental min-distance array: O(nkd) flops, O(n) memory.
 - :func:`gonzalez_order` — the same traversal but returning the full
   selection order plus the insertion radii; used by the QFairDiv range
   structure, which stores per-node Gonzalez *prefixes*.
-- :func:`merge_gonzalez` — Gonzalez over a union of already-summarized
-  center sets. Composability (run Gonzalez per partition, then on the
-  union of the partial centers) yields a constant-factor k-center
-  solution, which is exactly what Theorem 4.2 requires of ``Alg``.
+
+Composability (run Gonzalez per partition, then on the union of the
+partial centers) yields a constant-factor k-center solution, which is
+exactly what Theorem 4.2 requires of ``Alg``; the Spark coreset
+(:func:`repro.core.coreset.coreset_arrays`) is built that way.
 
 Gonzalez is a 2-approximation for k-center and a 1/2-approximation for
 (unfair) max-min diversification; the min pairwise distance among the
@@ -75,15 +76,3 @@ def gonzalez_radius(X: np.ndarray, centers_idx: np.ndarray) -> float:
 
     D = pairwise_distances(np.asarray(X), np.asarray(X)[centers_idx])
     return float(D.min(axis=1).max())
-
-
-def merge_gonzalez(parts: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gonzalez on the concatenation of partial center sets.
-
-    Returns ``(points, origin)`` where ``origin[i]`` is (part, row-in-part)
-    flattened to a global row index in the stacked array. Used by the
-    Spark reduce stage of the coreset pipeline.
-    """
-    stacked = np.concatenate([np.asarray(p, dtype=np.float64) for p in parts], axis=0)
-    idx = gonzalez(stacked, k)
-    return stacked[idx], idx

@@ -18,6 +18,7 @@ configuration evaluated in the paper's experiments.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,15 +164,19 @@ def mfd_spark(
     """Corollary 4.3 as one call: distributed per-color coreset over the
     Spark DataFrame (the only O(n) stage), then MFD on the O(mk) coreset
     on the driver. The result's ``extras['coreset_size']`` records the
-    coreset cardinality; indices refer to coreset rows, with the selected
-    coordinates in ``extras['points']``."""
+    coreset cardinality and ``extras['timings']`` the wall seconds of the
+    two stages (``coreset_s``, ``solve_s``); indices refer to coreset rows,
+    with the selected coordinates in ``extras['points']``."""
     from .coreset import coreset_arrays
 
     quotas = np.asarray(quotas, dtype=np.int64)
     k = int(quotas.sum())
+    t0 = time.perf_counter()
     Xc, cc = coreset_arrays(df, per_color_k or k, color_col=color_col)
+    t1 = time.perf_counter()
     eff = np.minimum(quotas, np.bincount(cc, minlength=len(quotas)))
     res = mfd(Xc, cc, eff, **mfd_kwargs)
+    res.extras["timings"] = {"coreset_s": t1 - t0, "solve_s": time.perf_counter() - t1}
     res.extras["coreset_size"] = len(Xc)
     res.extras["points"] = Xc[res.indices]
     return res

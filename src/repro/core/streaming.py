@@ -112,8 +112,7 @@ def stream_partitioned_synopsis(df, per_color_k: int, *, color_col: str = "color
     (X, colors) of the merged O(mk) synopsis."""
     import pandas as pd
 
-    from .coreset import feature_columns
-    from .gonzalez import gonzalez
+    from .coreset import coreset_numpy, feature_columns
 
     feats = feature_columns(df)
     m_holder = df.selectExpr(f"max({color_col}) as mx").collect()[0].mx + 1
@@ -134,10 +133,5 @@ def stream_partitioned_synopsis(df, per_color_k: int, *, color_col: str = "color
     partial = df.select(*feats, color_col).mapInPandas(per_partition, schema=schema)
     pdf = partial.toPandas()
     X = pdf[feats].to_numpy(dtype=np.float64)
-    colors = pdf[color_col].to_numpy(dtype=np.int64)
-    out_idx = []
-    for j in np.unique(colors):
-        idx = np.where(colors == j)[0]
-        out_idx.append(idx[gonzalez(X[idx], per_color_k)])
-    sel = np.concatenate(out_idx)
-    return X[sel], colors[sel]
+    sel, colors = coreset_numpy(X, pdf[color_col].to_numpy(dtype=np.int64), per_color_k)
+    return X[sel], colors

@@ -1,12 +1,13 @@
 """Coreset construction (Theorem 4.2): serial + distributed, properties."""
 import numpy as np
+import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import exact
 from repro.core.coreset import (
     coreset_arrays,
     coreset_numpy,
-    coreset_spark,
     feature_columns,
     to_spark_points,
 )
@@ -62,22 +63,33 @@ def test_feature_columns_ordering():
     assert feature_columns(pdf) == ["x0", "x2", "x10"]
 
 
-@pytest.mark.parametrize("two_stage", [True, False])
-def test_coreset_spark_matches_contract(spark, two_stage):
-    X, colors = _instance(400, 3, 3, seed=5)
-    df = to_spark_points(spark, X, colors, n_partitions=8)
-    pdf = coreset_spark(df, 10, two_stage=two_stage)
-    assert set(pdf.columns) == {"x0", "x1", "x2", "color"}
-    got = color_counts(pdf["color"].to_numpy(), 3)
-    assert np.all(got == 10)
-    # Every coreset point is an input point (exact row membership).
-    merged = pdf.merge(
-        __import__("pandas").DataFrame(X, columns=["x0", "x1", "x2"]).assign(color=colors),
-        on=["x0", "x1", "x2", "color"],
+def _assert_input_rows(Xc, cc, X, colors):
+    """Every coreset row is an input row (exact coordinate + color match)."""
+    cols = [f"x{i}" for i in range(X.shape[1])]
+    merged = pd.DataFrame(Xc, columns=cols).assign(color=cc).merge(
+        pd.DataFrame(X, columns=cols).assign(color=colors).drop_duplicates(),
+        on=cols + ["color"],
         how="left",
         indicator=True,
     )
+    assert len(merged) == len(Xc)
     assert (merged["_merge"] == "both").all()
+
+
+@pytest.mark.parametrize("more_partitions_than_slots", [False, True])
+def test_coreset_spark_matches_contract(spark, more_partitions_than_slots):
+    """m·k rows, k per color, all input rows: whether the input has a
+    single partition (coalesce leaves it as is) or several per task slot
+    (coalesce merges them)."""
+    slots = spark.sparkContext.defaultParallelism
+    n_partitions = 4 * slots if more_partitions_than_slots else 1
+    X, colors = _instance(400, 3, 3, seed=5)
+    df = to_spark_points(spark, X, colors, n_partitions=n_partitions)
+    assert df.rdd.getNumPartitions() == n_partitions
+    Xc, cc = coreset_arrays(df, 10)
+    assert Xc.shape == (30, 3)
+    assert np.all(color_counts(cc, 3) == 10)
+    _assert_input_rows(Xc, cc, X, colors)
 
 
 def test_coreset_spark_two_stage_close_to_serial(spark):
@@ -88,13 +100,57 @@ def test_coreset_spark_two_stage_close_to_serial(spark):
 
     X, colors = _instance(600, 2, 2, seed=9)
     df = to_spark_points(spark, X, colors, n_partitions=6)
-    Xc, cc = coreset_arrays(df, 8, two_stage=True)
+    Xc, cc = coreset_arrays(df, 8)
     for j in range(2):
         pts = X[colors == j]
         serial = pts[gonzalez(pts, 8)]
         r_serial = pairwise_distances(pts, serial).min(axis=1).max()
         dist_two = pairwise_distances(pts, Xc[cc == j]).min(axis=1).max()
         assert dist_two <= 4 * r_serial + 1e-9
+
+
+def test_coreset_spark_one_job_at_most_one_task_per_slot(spark):
+    """The coreset is one Spark job whose stages run at most one task per
+    task slot, however many partitions the input has."""
+    X, colors = _instance(2000, 2, 4, seed=11)
+    df = to_spark_points(spark, X, colors, n_partitions=32).cache()
+    df.count()  # the input's own shuffle runs here, outside the job group
+    sc = spark.sparkContext
+    sc.setJobGroup("coreset-one-pass", "coreset_arrays")
+    try:
+        Xc, cc = coreset_arrays(df, 5)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        df.unpersist()
+    st = sc.statusTracker()
+    jobs = st.getJobIdsForGroup("coreset-one-pass")
+    assert len(jobs) == 1
+    stages = st.getJobInfo(jobs[0]).stageIds
+    assert stages
+    assert all(st.getStageInfo(s).numTasks <= sc.defaultParallelism for s in stages)
+    assert np.all(color_counts(cc, 4) == 5)
+
+
+def test_coreset_spark_sparse_partitions_and_small_colors(spark):
+    """More partitions than rows (most are empty), one color held by a
+    single partition, one color with fewer than k points: each color gets
+    min(k, |P(c_j)|) centers, all of them input rows."""
+    k = 4
+    X = np.random.default_rng(13).normal(size=(12, 2)) * 4.0
+    colors = np.array([0] * 6 + [1] * 4 + [2] * 2)
+    # Color 1's rows share one partition key and the other rows two more
+    # keys, so at most 3 of the 64 partitions hold rows and some task slot
+    # of the coalesced pass gets none.
+    key = np.where(colors == 1, 2, np.arange(len(X)) % 2)
+    pdf = pd.DataFrame(X, columns=["x0", "x1"]).assign(color=colors, key=key)
+    df = spark.createDataFrame(pdf).repartition(64, "key").drop("key")
+    assert df.rdd.getNumPartitions() > len(X)
+    pids = df.where(F.col("color") == 1).select(F.spark_partition_id()).distinct().count()
+    assert pids == 1
+    Xc, cc = coreset_arrays(df, k)
+    np.testing.assert_array_equal(color_counts(cc, 3), np.minimum(color_counts(colors, 3), k))
+    _assert_input_rows(Xc, cc, X, colors)
+    assert len(np.unique(Xc, axis=0)) == len(Xc)
 
 
 def test_coreset_then_mfd_end_to_end(spark):

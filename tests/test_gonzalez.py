@@ -8,7 +8,6 @@ from repro.core.gonzalez import (
     gonzalez,
     gonzalez_order,
     gonzalez_radius,
-    merge_gonzalez,
 )
 
 
@@ -67,11 +66,15 @@ def test_maxmin_half_approximation(n, k, seed):
 @pytest.mark.parametrize("parts,k,seed", [(2, 4, 0), (4, 6, 1), (8, 5, 2)])
 def test_merge_gonzalez_composability(parts, k, seed):
     """Two-round (partitioned) Gonzalez stays a constant-factor k-center
-    solution — the property Theorem 4.2 needs from any 'Alg'."""
+    solution — the property Theorem 4.2 needs from any 'Alg'. Round two is
+    the coreset's driver-side merge, ``coreset_numpy`` over the union."""
+    from repro.core.coreset import coreset_numpy
+
     X = _rand(200, 3, seed)
     chunks = np.array_split(X, parts)
-    partials = [c[gonzalez(c, k)] for c in chunks]
-    merged, _ = merge_gonzalez(partials, k)
+    partials = np.concatenate([c[gonzalez(c, k)] for c in chunks])
+    sel, _ = coreset_numpy(partials, np.zeros(len(partials), dtype=np.int64), k)
+    merged = partials[sel]
     assert merged.shape == (k, 3)
     r_merged = pairwise_distances(X, merged).min(axis=1).max()
     r_serial = gonzalez_radius(X, gonzalez(X, k))

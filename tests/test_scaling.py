@@ -90,3 +90,6 @@ def test_mfd_spark_wrapper(spark):
     assert res.diversity > 0
     assert res.extras["coreset_size"] <= 3 * 6
     assert res.extras["points"].shape[1] == 2
+    timings = res.extras["timings"]
+    assert set(timings) == {"coreset_s", "solve_s"}
+    assert all(t > 0 for t in timings.values())
