@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.geometry import diversity, missed_per_color, pairwise_distances
-from ..core.gonzalez import gonzalez
+from ..core.mfd import gamma_upper_bound
 from .fairflow import BaselineResult, _flow_select, _greedy_net
 
 
@@ -36,8 +36,7 @@ def fairgreedyflow(
     quotas = np.asarray(quotas, dtype=np.int64)
     m = len(quotas)
     k = int(quotas.sum())
-    gidx = gonzalez(X, min(k, len(X)))
-    gamma = 2.0 * diversity(X[gidx])
+    gamma = gamma_upper_bound(X, k)
     if not np.isfinite(gamma):
         gamma = 1.0
     best = None

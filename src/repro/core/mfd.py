@@ -12,6 +12,10 @@ choices the authors made in their own artifact):
   iteration count, default 0.3 per their micro-benchmark);
 - randomized rounding, 5-run averaging left to the experiment harness.
 
+:func:`mfd` and the high-probability variant share one gamma search
+(:func:`certify_and_round`); every solve on a coreset or synopsis goes
+through :func:`solve_coreset`, the one place that decides quotas.
+
 Run directly on a point set this is Theorem 3.2; run on the Section 4
 coreset (see :mod:`repro.core.coreset`) it is Corollary 4.3 — the
 configuration evaluated in the paper's experiments.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -57,40 +62,31 @@ def gamma_upper_bound(X: np.ndarray, k: int) -> float:
     return 2.0 * diversity(X[idx])
 
 
-def mfd(
+def certify_and_round(
     X: np.ndarray,
     colors: np.ndarray,
     quotas: np.ndarray,
+    rounding: Callable[[mwu.MWUProblem, np.ndarray], tuple[np.ndarray, dict]],
     *,
-    eps: float = 1.0,
-    g: float = 0.3,
+    eps: float,
+    g: float,
     decay: float = 0.15,
     gamma_schedule: str = "geometric",
     backend: str = "dense",
-    trim: bool = False,
-    max_rounds: int = 200,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> MFDResult:
-    """Solve FairDiv on ``(X, colors)`` with per-color quotas.
-
-    ``backend`` picks the LP2 neighborhoods S^eps_p, the only thing it
-    changes (see :mod:`repro.core.mwu`): ``'dense'`` uses exact balls
-    (right choice at coreset scale); ``'tree'`` uses a BBD-style KD-tree's
-    canonical-node covers, the paper's Algorithms 2–4.
-    ``extras['lp2_violation']`` is the additive error of Constraints (11)
-    over those neighborhoods at the certified gamma. ``trim`` optionally
-    drops surplus points of over-quota colors (in reverse sampling order)
-    — diversity can only increase; the default False matches the paper's
-    rounding output.
+    """Algorithm 1: validate the input, search for the largest gamma whose
+    LP2 MWU certifies feasible (WSPD binary search, or geometric decay from
+    :func:`gamma_upper_bound` to a floor of 1e-12 times it, at most ~170
+    rounds), and round its x_hat with ``rounding(prob, xhat) -> (indices,
+    extras)``. If no gamma is certified, the result is a fair set (the
+    first k_j rows of each color) with gamma 0. That is always so when X
+    has fewer than k distinct locations: the upper bound is then 0 and
+    every fair set is optimal.
     """
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
     quotas = np.asarray(quotas, dtype=np.int64)
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    n, m = len(X), len(quotas)
-    k = int(quotas.sum())
-    counts = color_counts(colors, m)
+    counts = color_counts(colors, len(quotas))
     if np.any(counts < quotas):
         raise ValueError(f"infeasible quotas: need {quotas.tolist()}, have {counts.tolist()}")
 
@@ -103,54 +99,99 @@ def mfd(
 
     rounds = 0
     feasible: tuple | None = None
-    gamma_feas = 0.0
     if gamma_schedule == "wspd":
         Gamma = candidate_distances(X, eps)
         lo_i, hi_i = 0, len(Gamma) - 1
-        while lo_i <= hi_i and rounds < max_rounds:
-            mid = (lo_i + hi_i + 1) // 2 if lo_i != hi_i else lo_i
+        while lo_i <= hi_i:
+            mid = (lo_i + hi_i + 1) // 2
             rounds += 1
             got = attempt(float(Gamma[mid]))
             if got is not None:
-                feasible, gamma_feas = got, float(Gamma[mid])
+                feasible = got
                 lo_i = mid + 1
             else:
                 hi_i = mid - 1
     else:
-        gamma = gamma_upper_bound(X, k)
+        gamma = gamma_upper_bound(X, int(quotas.sum()))
         if not np.isfinite(gamma):
             gamma = 1.0
         floor = 1e-12 * max(gamma, 1.0)
-        while rounds < max_rounds:
+        while feasible is None and gamma >= floor:
             rounds += 1
-            got = attempt(gamma)
-            if got is not None:
-                feasible, gamma_feas = got, gamma
-                break
+            feasible = attempt(gamma)
             gamma *= 1.0 - decay
-            if gamma < floor:
-                break
 
     if feasible is None:
-        # gamma below the min pairwise distance always admits a solution;
-        # reaching this means quotas were degenerate (k == 0).
-        sel = np.empty(0, dtype=np.int64)
-        return MFDResult(sel, 0.0, float("inf"), colors[sel], missed_per_color(colors[sel], quotas), rounds)
-
-    prob, xhat = feasible
-    sel = mwu.round_solution(prob, xhat, rng)
-    if trim:
-        sel = _trim_to_quotas(sel, colors, quotas)
+        sel = np.concatenate([np.flatnonzero(colors == j)[:q] for j, q in enumerate(quotas)])
+        gamma, extras = 0.0, {}
+    else:
+        prob, xhat = feasible
+        sel, extras = rounding(prob, xhat)
+        gamma = prob.gamma
     sel_colors = colors[sel]
     return MFDResult(
         indices=sel,
-        gamma=gamma_feas,
+        gamma=gamma,
         diversity=diversity(X[sel]),
         colors=sel_colors,
         missed=missed_per_color(sel_colors, quotas),
         n_mwu_rounds=rounds,
-        extras={"lp2_violation": mwu.lp2_violation(prob, xhat)},
+        extras=extras,
     )
+
+
+def mfd(
+    X: np.ndarray,
+    colors: np.ndarray,
+    quotas: np.ndarray,
+    *,
+    eps: float = 1.0,
+    g: float = 0.3,
+    decay: float = 0.15,
+    gamma_schedule: str = "geometric",
+    backend: str = "dense",
+    trim: bool = False,
+    seed: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> MFDResult:
+    """Solve FairDiv on ``(X, colors)`` with per-color quotas.
+
+    The gamma search is :func:`certify_and_round`'s. ``backend`` picks the
+    LP2 neighborhoods S^eps_p, the only thing it changes (see
+    :mod:`repro.core.mwu`): ``'dense'`` uses exact balls (right choice at
+    coreset scale); ``'tree'`` uses a BBD-style KD-tree's canonical-node
+    covers, the paper's Algorithms 2–4. Round is Algorithm 4 at the LP2
+    radius. ``extras['lp2_violation']`` is the additive error of
+    Constraints (11) over those neighborhoods at the certified gamma.
+    ``trim`` optionally drops surplus points of over-quota colors (in
+    reverse sampling order) — diversity can only increase; the default
+    False matches the paper's rounding output.
+    """
+    rng = rng if rng is not None else np.random.default_rng(seed)
+
+    def rounding(prob: mwu.MWUProblem, xhat: np.ndarray):
+        sel = mwu.round_solution(prob, xhat, rng)
+        if trim:
+            sel = _trim_to_quotas(sel, prob.colors, prob.quotas)
+        return sel, {"lp2_violation": mwu.lp2_violation(prob, xhat)}
+
+    return certify_and_round(X, colors, quotas, rounding, eps=eps, g=g, decay=decay,
+                             gamma_schedule=gamma_schedule, backend=backend)
+
+
+def solve_coreset(Xc: np.ndarray, cc: np.ndarray, quotas: np.ndarray, *, solver=None, **kwargs):
+    """FairDiv on a coreset or synopsis ``(Xc, cc)``, the one place that
+    decides effective quotas: ``solver`` (default :func:`mfd`) is asked for
+    min(k_j, held_j) points of color j, and ``missed`` is measured against
+    the *requested* k_j. ``extras`` gets ``held`` (coreset rows per color),
+    ``coreset_size`` and ``points`` (the selected coreset rows' coordinates).
+    """
+    quotas = np.asarray(quotas, dtype=np.int64)
+    held = color_counts(cc, len(quotas))
+    res = (solver or mfd)(Xc, cc, np.minimum(quotas, held), **kwargs)
+    res.missed = missed_per_color(res.colors, quotas)
+    res.extras.update(held=held, coreset_size=len(Xc), points=Xc[res.indices])
+    return res
 
 
 def mfd_spark(
@@ -162,23 +203,19 @@ def mfd_spark(
     **mfd_kwargs,
 ) -> MFDResult:
     """Corollary 4.3 as one call: distributed per-color coreset over the
-    Spark DataFrame (the only O(n) stage), then MFD on the O(mk) coreset
-    on the driver. The result's ``extras['coreset_size']`` records the
-    coreset cardinality and ``extras['timings']`` the wall seconds of the
-    two stages (``coreset_s``, ``solve_s``); indices refer to coreset rows,
-    with the selected coordinates in ``extras['points']``."""
+    Spark DataFrame (the only O(n) stage), then :func:`solve_coreset` on
+    the O(mk) coreset on the driver (``per_color_k`` defaults to k).
+    ``extras['timings']`` records the wall seconds of the two stages
+    (``coreset_s``, ``solve_s``); indices refer to coreset rows, with the
+    selected coordinates in ``extras['points']``."""
     from .coreset import coreset_arrays
 
-    quotas = np.asarray(quotas, dtype=np.int64)
-    k = int(quotas.sum())
+    k = int(np.sum(quotas))
     t0 = time.perf_counter()
     Xc, cc = coreset_arrays(df, per_color_k or k, color_col=color_col)
     t1 = time.perf_counter()
-    eff = np.minimum(quotas, np.bincount(cc, minlength=len(quotas)))
-    res = mfd(Xc, cc, eff, **mfd_kwargs)
+    res = solve_coreset(Xc, cc, quotas, **mfd_kwargs)
     res.extras["timings"] = {"coreset_s": t1 - t0, "solve_s": time.perf_counter() - t1}
-    res.extras["coreset_size"] = len(Xc)
-    res.extras["points"] = Xc[res.indices]
     return res
 
 

@@ -9,7 +9,9 @@ Query(R, quotas): for each color, decompose R into canonical nodes,
 take each node's Gonzalez prefix, and re-run Gonzalez on the union —
 the composable k-center argument gives a constant-approximation
 k-center solution of P(c_j) ∩ R, hence (Theorem 4.2) the union over
-colors is a (1+eps)-coreset of P ∩ R, on which MFD runs.
+colors is a (1+eps)-coreset of P ∩ R, on which MFD runs. Fairness is
+measured against the requested quotas, so a color that R lacks counts
+as missed.
 
 Substitution note (documented in DESIGN.md): the paper cites the
 range-clustering structures of [6, 44] with O(log^{d-1} n) canonical
@@ -21,10 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import color_counts
 from .gonzalez import gonzalez, gonzalez_order
 from .kdtree import KDTree
-from .mfd import MFDResult, mfd
+from .mfd import MFDResult, solve_coreset
 
 
 class QFairDivIndex:
@@ -67,8 +68,11 @@ class QFairDivIndex:
         g: float = 0.3,
         seed: int | None = None,
     ) -> MFDResult:
-        """FairDiv on P ∩ [lo, hi]; quotas are clipped to what the range
-        contains (Definition 3 constrains only colors present in R)."""
+        """FairDiv on P ∩ [lo, hi]. MFD runs on the range's coreset through
+        :func:`repro.core.mfd.solve_coreset`: it is asked for what the
+        coreset holds of each color, and ``missed`` counts the requested
+        quotas the range cannot meet (a color absent from R misses its
+        whole quota). Indices refer to rows of the indexed point set."""
         quotas = np.asarray(quotas, dtype=np.int64)
         k = int(quotas.sum())
         core_rows: list[np.ndarray] = []
@@ -89,10 +93,6 @@ class QFairDivIndex:
             empty = np.empty(0, dtype=np.int64)
             return MFDResult(empty, 0.0, float("inf"), empty, quotas.copy(), 0)
         rows = np.concatenate(core_rows)
-        Xc, cc = self.X[rows], self.colors[rows]
-        eff_quotas = np.minimum(quotas, color_counts(cc, self.m))
-        res = mfd(Xc, cc, eff_quotas, eps=eps, g=g, seed=seed)
+        res = solve_coreset(self.X[rows], self.colors[rows], quotas, eps=eps, g=g, seed=seed)
         res.indices = rows[res.indices]
-        res.extras["coreset_size"] = len(rows)
-        res.extras["requested_quotas"] = quotas
         return res

@@ -8,13 +8,15 @@ is faster in practice at these k). By Lemma 4.1/Theorem 4.2 the union of
 the per-color synopses is a (1+eps)-coreset of the stream, so
 post-processing = MFD on O(mk) points: O(m k^2 log^3 k), independent of
 the spread Delta — the paper's headline improvement over SFDM-2 [50].
+Post-processing asks MFD for what the synopsis holds and reports misses
+against the requested quotas (:func:`repro.core.mfd.solve_coreset`).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .geometry import dists_to_point
-from .mfd import MFDResult, mfd
+from .mfd import MFDResult, solve_coreset
 
 
 class DoublingKCenter:
@@ -93,14 +95,14 @@ class StreamMFD:
         g: float = 0.3,
         seed: int | None = None,
     ) -> MFDResult:
-        """Post-processing: run MFD on the synopsis (O(m k^2 log^3 k))."""
+        """Post-processing: MFD on the synopsis (O(m k^2 log^3 k)) through
+        :func:`repro.core.mfd.solve_coreset`. A synopsis holding fewer than
+        k_j points of color j shows as a miss, with the per-color synopsis
+        counts in ``extras['held']``; the selected coordinates are in
+        ``extras['synopsis_points']``."""
         Xc, cc = self.synopsis()
-        quotas = np.minimum(
-            np.asarray(quotas, dtype=np.int64),
-            np.bincount(cc, minlength=self.m),
-        )
-        res = mfd(Xc, cc, quotas, eps=eps, g=g, seed=seed)
-        res.extras["synopsis_points"] = Xc[res.indices]
+        res = solve_coreset(Xc, cc, quotas, eps=eps, g=g, seed=seed)
+        res.extras["synopsis_points"] = res.extras["points"]
         return res
 
 

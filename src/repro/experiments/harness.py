@@ -14,6 +14,8 @@ Protocol choices mirror the paper:
 - SFDM-2 streams the full point set once; its [d_min, d_max] comes from
   the coreset's min nonzero pairwise distance and the global-Gonzalez
   upper bound (the paper's footnote 5 protocol).
+- MFD and FairGreedyFlow get their quotas on the coreset from
+  ``core.mfd.solve_coreset``; their ``missed`` counts the requested quotas.
 - Randomized algorithms are averaged over ``repeats`` runs (paper: 5).
 - A run is DNF when it exceeds ``timeout_s`` wall-clock or (FMMD-S) its
   exact-search node budget — the scaled-down analogue of the paper's
@@ -33,7 +35,7 @@ from ..baselines.fmmds import FMMDSBudgetExceeded, fmmds
 from ..baselines.sfdm2 import SFDM2
 from ..core.coreset import coreset_arrays, coreset_numpy, to_spark_points
 from ..core.geometry import equal_quotas, pairwise_distances, proportional_quotas
-from ..core.mfd import gamma_upper_bound, mfd
+from ..core.mfd import gamma_upper_bound, solve_coreset
 from ..data.datasets import dataset_arrays
 
 ALGOS = [
@@ -139,13 +141,13 @@ def run_algo(
     t0 = time.perf_counter()
     try:
         if algo.startswith("MFD"):
-            res = mfd(Xc, cc, np.minimum(quotas, np.bincount(cc, minlength=len(quotas))), g=g, seed=seed)
+            res = solve_coreset(Xc, cc, quotas, g=g, seed=seed)
             dt = time.perf_counter() - t0 + coreset_time
         elif algo == "FairFlow":
             res = fairflow(X, colors, quotas, seed=seed)
             dt = time.perf_counter() - t0
         elif algo == "FairGreedyFlow":
-            res = fairgreedyflow(Xc, cc, np.minimum(quotas, np.bincount(cc, minlength=len(quotas))), seed=seed)
+            res = solve_coreset(Xc, cc, quotas, solver=fairgreedyflow, seed=seed)
             dt = time.perf_counter() - t0 + coreset_time
         elif algo == "FMMD-S":
             res = fmmds(X, colors, quotas, node_budget=fmmds_budget, seed=seed)
@@ -312,13 +314,12 @@ def mfd_g_sweep(
         for k in ks:
             quotas = make_quotas(quota_mode, k, colors, meta.m)
             Xc, cc, coreset_time = _timed_coreset(df, X, colors, k)
-            eff_quotas = np.minimum(quotas, np.bincount(cc, minlength=meta.m))
             for g in gs:
                 divs, times = [], []
                 missed_acc = np.zeros(meta.m)
                 for r in range(repeats):
                     t1 = time.perf_counter()
-                    res = mfd(Xc, cc, eff_quotas, g=g, seed=seed + r)
+                    res = solve_coreset(Xc, cc, quotas, g=g, seed=seed + r)
                     times.append(time.perf_counter() - t1 + coreset_time)
                     divs.append(res.diversity)
                     missed_acc += res.missed

@@ -89,3 +89,25 @@ def test_spark_bbox_vs_duckdb(spark):
         "SELECT MIN(x0) AS lo0, MAX(x0) AS hi0, MIN(x1) AS lo1, MAX(x1) AS hi1 FROM pts",
         pts=pdf,
     )
+
+
+def test_generation_independent_of_hash_seed():
+    """A dataset must not depend on Python's per-process string hashing."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    code = (
+        "import pickle, sys\n"
+        "from repro.data.datasets import DATASET_NAMES, dataset_pandas\n"
+        "frames = [dataset_pandas(n, scale=0.001, seed=3)[0] for n in DATASET_NAMES]\n"
+        "sys.stdout.buffer.write(pickle.dumps(frames))\n"
+    )
+    frames = []
+    for hash_seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        frames.append(pickle.loads(out.stdout))
+    for a, b in zip(*frames):
+        pd.testing.assert_frame_equal(a, b)

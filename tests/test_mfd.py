@@ -110,3 +110,39 @@ def test_early_stopping_parameter_monotone_cost(g):
     res = mfd(X, colors, quotas, seed=0, g=g)
     assert res.diversity >= res.gamma / 4 - 1e-9
     assert len(res.indices) >= 1
+
+
+@pytest.mark.parametrize("solver", ["dense", "tree", "hp"])
+def test_fewer_distinct_locations_than_k_gives_fair_set(solver):
+    """200 points on 5 locations, k=8: every fair set has diversity 0 and
+    is optimal, so the answer is one with gamma 0 and no misses."""
+    from repro.core.hp import mfd_hp
+
+    rng = np.random.default_rng(0)
+    X = (rng.normal(size=(5, 2)) * 3.0)[rng.integers(0, 5, size=200)]
+    colors = rng.integers(0, 2, size=200)
+    quotas = np.array([4, 4])
+    if solver == "hp":
+        res = mfd_hp(X, colors, quotas, seed=0)
+    else:
+        res = mfd(X, colors, quotas, backend=solver, seed=0)
+    assert gamma_upper_bound(X, 8) == 0.0
+    assert res.gamma == 0.0
+    assert res.diversity == 0.0
+    assert res.missed.tolist() == [0, 0]
+    assert np.array_equal(np.bincount(res.colors, minlength=2), quotas)
+
+
+def test_mfd_spark_coreset_smaller_than_quota_shows_as_miss(spark):
+    """per_color_k=3 < k_0=4: the coreset holds 3 points of color 0, and
+    the missing one is reported against the requested quota."""
+    from repro.core.coreset import to_spark_points
+    from repro.core.mfd import mfd_spark
+
+    X, colors = _instance(300, 2, 3, seed=4)
+    df = to_spark_points(spark, X, colors, n_partitions=4)
+    quotas = np.array([4, 2, 2])
+    res = mfd_spark(df, quotas, per_color_k=3, seed=0)
+    assert res.extras["held"].tolist() == [3, 3, 3]
+    assert res.missed[0] == 4 - np.sum(res.colors == 0) > 0
+    assert res.missed.tolist() == missed_per_color(res.colors, quotas).tolist()

@@ -69,3 +69,15 @@ def test_empty_range():
     idx = QFairDivIndex(X, colors)
     res = idx.query(np.array([100.0, 100.0]), np.array([101.0, 101.0]), np.array([1, 1]))
     assert len(res.indices) == 0
+
+
+def test_query_range_without_a_color_misses_its_quota():
+    """As in the empty-range case, a color absent from R misses its whole
+    quota; MFD is asked only for what the range holds."""
+    X, colors = _instance(200, 2, 7)
+    X[colors == 1] += 100.0
+    idx = QFairDivIndex(X, colors, k_max=8)
+    res = idx.query(np.array([-20.0, -20.0]), np.array([20.0, 20.0]), np.array([2, 2]))
+    assert res.extras["held"][1] == 0
+    assert res.missed[1] == 2
+    assert res.missed[0] == max(0, 2 - np.sum(res.colors == 0))

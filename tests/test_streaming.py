@@ -106,3 +106,19 @@ def test_partitioned_synopsis_matches_serial_quality(spark):
         r_par = pairwise_distances(pts, Xs[cs == j]).min(axis=1).max()
         r_ser = gonzalez_radius(pts, gonzalez(pts, 8))
         assert r_par <= 24 * r_ser + 1e-9  # composable constant factor
+
+
+def test_streammfd_synopsis_shortfall_reported_against_requested_quotas():
+    """A synopsis holding fewer than k_0 points of color 0 cannot meet k_0:
+    the shortfall is a miss, and extras['held'] shows it."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(20_000, 2)) * 5.0
+    colors = (rng.random(20_000) < 0.5).astype(np.int64)
+    sm = StreamMFD(2, 2, per_color_k=50)
+    for i in range(len(X)):
+        sm.insert(X[i], int(colors[i]))
+    res = sm.solution(np.array([45, 5]), seed=0)
+    held = res.extras["held"]
+    assert held.tolist() == [len(inst.C) for inst in sm.instances]
+    assert held[0] < 45
+    assert res.missed[0] == 45 - np.sum(res.colors == 0) > 0
