@@ -2,13 +2,14 @@
 
 Paper's finding: g barely affects diversity; runtime grows with g.
 """
-from repro.experiments.harness import mfd_g_sweep
+from repro.experiments.harness import sweep
 from repro.experiments.tables import pivot_table
 
 
 def test_bench_fig3_4(spark, benchmark):
     recs = benchmark.pedantic(
-        lambda: mfd_g_sweep("adult", [20, 40], [0.1, 0.3, 0.7], scale=0.2, repeats=2, spark=spark),
+        lambda: sweep("adult", [20, 40], [f"MFD-{g}" for g in (0.1, 0.3, 0.7)], scale=0.2, repeats=2,
+                      spark=spark),
         rounds=1,
         iterations=1,
     )

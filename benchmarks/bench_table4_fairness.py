@@ -4,7 +4,7 @@ Paper's finding: MFD-0.1 misses a few points per color; MFD-0.3 almost
 never misses (Diabetes: 0; Popsim: <= 1.4 avg). Full-scale numbers in
 EXPERIMENTS.md via jobs/run_table4.py.
 """
-from repro.experiments.harness import mfd_g_sweep
+from repro.experiments.harness import sweep
 from repro.experiments.tables import missed_table
 
 
@@ -12,7 +12,7 @@ def test_bench_table4(spark, benchmark):
     def run():
         recs = []
         for ds, scale in (("diabetes", 0.03), ("popsim", 0.002)):
-            recs += mfd_g_sweep(ds, [20], [0.1, 0.3], scale=scale, repeats=3, spark=spark)
+            recs += sweep(ds, [20], [f"MFD-{g}" for g in (0.1, 0.3)], scale=scale, repeats=3, spark=spark)
         return recs
 
     recs = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -7,7 +7,7 @@ import os
 from _session import get_spark, results_dir
 
 from repro.data.datasets import DATASET_NAMES
-from repro.experiments.harness import mfd_g_sweep
+from repro.experiments.harness import sweep
 from repro.experiments.tables import pivot_table
 
 
@@ -15,7 +15,7 @@ def main(ks=(20, 60, 100), gs=(0.1, 0.3, 0.5, 0.7), repeats=3) -> str:
     spark = get_spark("fig3_4")
     records = []
     for ds in DATASET_NAMES:
-        records += mfd_g_sweep(ds, list(ks), list(gs), repeats=repeats, spark=spark)
+        records += sweep(ds, list(ks), [f"MFD-{g}" for g in gs], repeats=repeats, spark=spark)
     out = pivot_table(records, "diversity", title="Fig 3 (as table) — MFD diversity vs k for early-stop g")
     out += "\n" + pivot_table(records, "runtime_s", title="Fig 4 (as table) — MFD runtime (s) vs k for early-stop g", nd=2)
     with open(os.path.join(results_dir(), "fig3_4.md"), "w") as f:

@@ -6,7 +6,7 @@ import os
 
 from _session import get_spark, results_dir
 
-from repro.experiments.harness import mfd_g_sweep
+from repro.experiments.harness import sweep
 from repro.experiments.tables import missed_table
 
 
@@ -14,7 +14,7 @@ def main(ks=(20, 40, 60, 80, 100), repeats=5) -> str:
     spark = get_spark("table4")
     records = []
     for ds in ("diabetes", "popsim"):
-        records += mfd_g_sweep(ds, list(ks), [0.1, 0.3], repeats=repeats, spark=spark)
+        records += sweep(ds, list(ks), [f"MFD-{g}" for g in (0.1, 0.3)], repeats=repeats, spark=spark)
     out = missed_table(records, title="Table 4 — avg missed points per color (MFD-0.1 vs MFD-0.3)")
     with open(os.path.join(results_dir(), "table4.md"), "w") as f:
         f.write(out)

@@ -21,14 +21,15 @@ from ..core.geometry import diversity, missed_per_color, pairwise_distances
 from ..core.mfd import gamma_upper_bound
 from .fairflow import BaselineResult, _flow_select, _greedy_net
 
+DECAY = 0.15  # gamma <- (1 - DECAY) gamma per infeasible guess, as MFD's default
+MAX_ROUNDS = 200
+
 
 def fairgreedyflow(
     X: np.ndarray,
     colors: np.ndarray,
     quotas: np.ndarray,
     *,
-    decay: float = 0.15,
-    max_rounds: int = 200,
     seed: int | None = None,
 ) -> BaselineResult:
     X = np.asarray(X, dtype=np.float64)
@@ -40,7 +41,7 @@ def fairgreedyflow(
     if not np.isfinite(gamma):
         gamma = 1.0
     best = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         sep = gamma / (m + 1)
         centers = _greedy_net(X, sep)
         clusters = np.argmin(pairwise_distances(X, X[centers]), axis=1)
@@ -49,7 +50,7 @@ def fairgreedyflow(
         if np.all(got >= quotas):
             best = np.array(sel_rows, dtype=np.int64)
             break
-        gamma *= 1.0 - decay
+        gamma *= 1.0 - DECAY
     if best is None:
         best = np.array(sel_rows, dtype=np.int64) if sel_rows else np.empty(0, dtype=np.int64)
     return BaselineResult(

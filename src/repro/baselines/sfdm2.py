@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.geometry import diversity, missed_per_color
+from ..core.geometry import diversity, missed_per_color, pairwise_distances
+from ..core.mfd import gamma_upper_bound
+from ..core.streaming import feed
 from .fairflow import BaselineResult
 
 
@@ -119,6 +121,20 @@ class SFDM2:
         )
 
 
+def offline_bounds(Xc: np.ndarray, k: int) -> tuple[float, float]:
+    """[d_min, d_max] for SFDM-2 in the offline experiments (the paper's
+    footnote 5): the smallest non-zero pairwise distance of the MFD coreset
+    ``Xc``, and :func:`repro.core.mfd.gamma_upper_bound` on the coreset,
+    raised to at least 2 d_min. Without a non-zero distance, d_min = 1e-6."""
+    D = pairwise_distances(Xc)
+    pos = D[D > 0]
+    d_min = float(pos.min()) if len(pos) else 1e-6
+    d_max = float(gamma_upper_bound(Xc, k))
+    if not np.isfinite(d_max):
+        d_max = float(pos.max()) if len(pos) else 1.0
+    return d_min, max(d_max, d_min * 2)
+
+
 def sfdm2_offline(
     X: np.ndarray,
     colors: np.ndarray,
@@ -131,22 +147,19 @@ def sfdm2_offline(
 ) -> BaselineResult:
     """Run SFDM-2 as an offline baseline by streaming the rows of X once
     (this is how [50]'s algorithm is compared in the offline experiments).
-    d_min/d_max default to the paper's protocol: the MFD coreset's min
-    nonzero pairwise distance and the global-Gonzalez upper bound."""
+    A bound left as None comes from :func:`offline_bounds` on the serial
+    MFD coreset (k per color)."""
     from ..core.coreset import coreset_numpy
-    from ..core.geometry import pairwise_distances
-    from ..core.mfd import gamma_upper_bound
 
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
     quotas = np.asarray(quotas, dtype=np.int64)
     if d_min is None or d_max is None:
-        sel, _ = coreset_numpy(X, colors, max(int(quotas.max()), 2))
-        D = pairwise_distances(X[sel])
-        pos = D[D > 0]
-        d_min = d_min or float(pos.min()) if len(pos) else 1e-6
-        d_max = d_max or float(gamma_upper_bound(X, int(quotas.sum())))
+        k = int(quotas.sum())
+        sel, _ = coreset_numpy(X, colors, k)
+        lo, hi = offline_bounds(X[sel], k)
+        d_min = lo if d_min is None else d_min
+        d_max = hi if d_max is None else d_max
     algo = SFDM2(X.shape[1], quotas, eps=eps, d_min=d_min, d_max=d_max)
-    for i in range(len(X)):
-        algo.insert(X[i], int(colors[i]))
+    feed(algo, X, colors)
     return algo.solution()

@@ -43,8 +43,12 @@ def diversity(X: np.ndarray) -> float:
 
 
 def color_counts(colors: np.ndarray, m: int) -> np.ndarray:
-    """Count of points per color id, as an ``(m,)`` int array."""
-    return np.bincount(np.asarray(colors, dtype=np.int64), minlength=m)
+    """Count of points per color id, as an ``(m,)`` int array. Raises
+    ``ValueError`` if an id lies outside ``[0, m)``."""
+    colors = np.asarray(colors, dtype=np.int64)
+    if len(colors) and (colors.min() < 0 or colors.max() >= m):
+        raise ValueError(f"color ids must lie in [0, {m}); got {colors.min()}..{colors.max()}")
+    return np.bincount(colors, minlength=m)
 
 
 def satisfies_quotas(colors: np.ndarray, quotas: np.ndarray) -> bool:

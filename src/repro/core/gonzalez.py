@@ -1,12 +1,10 @@
 """Gonzalez greedy k-center — the workhorse behind coresets (Theorem 4.2).
 
-Two entry points:
-
-- :func:`gonzalez` — classic serial farthest-point traversal, vectorized
-  with an incremental min-distance array: O(nkd) flops, O(n) memory.
-- :func:`gonzalez_order` — the same traversal but returning the full
-  selection order plus the insertion radii; used by the QFairDiv range
-  structure, which stores per-node Gonzalez *prefixes*.
+One traversal, :func:`gonzalez_order`: classic serial farthest-point
+traversal, vectorized with an incremental min-distance array (O(nkd)
+flops, O(n) memory), returning the selection order plus the insertion
+radii; the QFairDiv range structure stores per-node Gonzalez *prefixes*
+of it. :func:`gonzalez` is its order alone.
 
 Composability (run Gonzalez per partition, then on the union of the
 partial centers) yields a constant-factor k-center solution, which is
@@ -25,47 +23,31 @@ import numpy as np
 from .geometry import dists_to_point
 
 
-def gonzalez(X: np.ndarray, k: int, *, first: int = 0) -> np.ndarray:
-    """Indices of ``min(k, n)`` Gonzalez centers of ``X``.
-
-    ``first`` seeds the traversal (the approximation guarantee holds for
-    any seed; a fixed default keeps runs deterministic).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    n = len(X)
-    k = min(int(k), n)
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = first
-    mind = dists_to_point(X, X[first])
-    for t in range(1, k):
-        nxt = int(np.argmax(mind))
-        chosen[t] = nxt
-        np.minimum(mind, dists_to_point(X, X[nxt]), out=mind)
-    return chosen
+def gonzalez(X: np.ndarray, k: int) -> np.ndarray:
+    """Indices of ``min(k, n)`` Gonzalez centers of ``X`` (none for k <= 0)."""
+    return gonzalez_order(X, k)[0]
 
 
-def gonzalez_order(
-    X: np.ndarray, k: int, *, first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gonzalez selection order plus insertion radii.
 
-    ``radii[t]`` is the distance from center ``t`` to the previously
-    selected centers at the moment it was chosen (radii[0] = inf). The
-    radii are non-increasing; prefix ``order[:t]`` is a valid Gonzalez
-    run for k'=t, which makes stored prefixes reusable for any query k.
+    The traversal starts at row 0 (the approximation guarantee holds for
+    any start; a fixed one keeps runs deterministic). ``radii[t]`` is the
+    distance from center ``t`` to the previously selected centers at the
+    moment it was chosen (radii[0] = inf). The radii are non-increasing;
+    prefix ``order[:t]`` is a valid Gonzalez run for k'=t, which makes
+    stored prefixes reusable for any query k.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = len(X)
-    k = min(int(k), n)
-    order = np.empty(k, dtype=np.int64)
-    radii = np.empty(k, dtype=np.float64)
-    order[0], radii[0] = first, np.inf
-    mind = dists_to_point(X, X[first])
+    k = max(0, min(int(k), len(X)))
+    order = np.zeros(k, dtype=np.int64)
+    radii = np.full(k, np.inf)
+    if k == 0:
+        return order, radii
+    mind = dists_to_point(X, X[0])
     for t in range(1, k):
         nxt = int(np.argmax(mind))
-        order[t], radii[t] = nxt, float(mind[nxt])
+        order[t], radii[t] = nxt, mind[nxt]
         np.minimum(mind, dists_to_point(X, X[nxt]), out=mind)
     return order, radii
 

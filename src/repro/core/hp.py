@@ -65,12 +65,11 @@ def mfd_hp(
     g: float = 0.3,
     delta: float = 0.1,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> MFDResult:
     """Theorem 3.3: constant approximation with fairness holding w.p. >= 1-delta
     (given large-enough k_j; for small k_j the repeats still help).
     ``extras['r_reject']`` is the rejection radius, a lower bound on div(S)."""
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def rounding(prob: mwu.MWUProblem, xhat: np.ndarray):
         yhat = transform_to_separated(prob.X, prob.colors, xhat, prob.gamma, eps)

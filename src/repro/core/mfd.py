@@ -74,11 +74,12 @@ def certify_and_round(
     gamma_schedule: str = "geometric",
     backend: str = "dense",
 ) -> MFDResult:
-    """Algorithm 1: validate the input, search for the largest gamma whose
-    LP2 MWU certifies feasible (WSPD binary search, or geometric decay from
-    :func:`gamma_upper_bound` to a floor of 1e-12 times it, at most ~170
-    rounds), and round its x_hat with ``rounding(prob, xhat) -> (indices,
-    extras)``. If no gamma is certified, the result is a fair set (the
+    """Algorithm 1: validate the input (finite coordinates, color ids in
+    [0, m), quotas the colors can meet; ``ValueError`` otherwise), search
+    for the largest gamma whose LP2 MWU certifies feasible (WSPD binary
+    search, or geometric decay from :func:`gamma_upper_bound` to a floor
+    of 1e-12 times it, at most ~170 rounds), and round its x_hat with
+    ``rounding(prob, xhat) -> (indices, extras)``. If no gamma is certified, the result is a fair set (the
     first k_j rows of each color) with gamma 0. That is always so when X
     has fewer than k distinct locations: the upper bound is then 0 and
     every fair set is optimal.
@@ -86,6 +87,8 @@ def certify_and_round(
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
     quotas = np.asarray(quotas, dtype=np.int64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X has non-finite coordinates (NaN or inf)")
     counts = color_counts(colors, len(quotas))
     if np.any(counts < quotas):
         raise ValueError(f"infeasible quotas: need {quotas.tolist()}, have {counts.tolist()}")
@@ -152,7 +155,6 @@ def mfd(
     backend: str = "dense",
     trim: bool = False,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> MFDResult:
     """Solve FairDiv on ``(X, colors)`` with per-color quotas.
 
@@ -167,7 +169,7 @@ def mfd(
     reverse sampling order) — diversity can only increase; the default
     False matches the paper's rounding output.
     """
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def rounding(prob: mwu.MWUProblem, xhat: np.ndarray):
         sel = mwu.round_solution(prob, xhat, rng)

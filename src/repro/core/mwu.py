@@ -129,7 +129,7 @@ def _oracle(
     return xbar
 
 
-def solve(prob: MWUProblem, *, g: float = 0.3, T_full: int | None = None) -> np.ndarray | None:
+def solve(prob: MWUProblem, *, g: float = 0.3) -> np.ndarray | None:
     """MWU main loop. Returns x_hat or None (infeasible).
 
     Runs T = ceil(g * T_full) iterations with T_full = ceil(eps^-2 k ln n)
@@ -139,8 +139,7 @@ def solve(prob: MWUProblem, *, g: float = 0.3, T_full: int | None = None) -> np.
     k = int(prob.quotas.sum())
     if k == 0:
         return np.zeros(n)
-    if T_full is None:
-        T_full = int(np.ceil(prob.eps**-2 * k * np.log(max(n, 2))))
+    T_full = int(np.ceil(prob.eps**-2 * k * np.log(max(n, 2))))
     T = max(1, int(np.ceil(g * T_full)))
     inc = prob.incidence
     by_color = _color_index_lists(prob.colors, len(prob.quotas))

@@ -10,8 +10,13 @@ post-processing = MFD on O(mk) points: O(m k^2 log^3 k), independent of
 the spread Delta — the paper's headline improvement over SFDM-2 [50].
 Post-processing asks MFD for what the synopsis holds and reports misses
 against the requested quotas (:func:`repro.core.mfd.solve_coreset`).
+
+:func:`feed` is the one loop that streams the rows of X into a synopsis
+(StreamMFD here, SFDM-2 in :mod:`repro.baselines.sfdm2`).
 """
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -106,6 +111,18 @@ class StreamMFD:
         return res
 
 
+def feed(inst, X: np.ndarray, colors: np.ndarray, *, deadline: float = np.inf) -> bool:
+    """Stream the rows of ``X`` into ``inst`` (anything with
+    ``insert(p, color)``) in row order. The clock is read every 1,024 rows;
+    returns False, leaving the stream unfinished, once
+    ``time.perf_counter()`` has passed ``deadline``."""
+    for i in range(len(X)):
+        inst.insert(X[i], int(colors[i]))
+        if (i & 0x3FF) == 0 and time.perf_counter() > deadline:
+            return False
+    return True
+
+
 def stream_partitioned_synopsis(df, per_color_k: int, *, color_col: str = "color"):
     """Distributed variant: each Spark partition runs its own per-color
     doubling synopsis over its slice of the stream, and the partial
@@ -125,8 +142,7 @@ def stream_partitioned_synopsis(df, per_color_k: int, *, color_col: str = "color
             X = pdf[feats].to_numpy(dtype=np.float64)
             colors = pdf[color_col].to_numpy(dtype=np.int64)
             sm = StreamMFD(X.shape[1], m_holder, per_color_k)
-            for i in range(len(X)):
-                sm.insert(X[i], int(colors[i]))
+            feed(sm, X, colors)
             Xs, cs = sm.synopsis()
             out = pd.DataFrame(Xs, columns=feats)
             out[color_col] = cs

@@ -1,22 +1,29 @@
 """Experiment harness: runs (dataset, algorithm, k, quota-mode) cells and
 produces the rows behind every table/figure of the paper's Section 6.
 
-Protocol choices mirror the paper:
+Every grid cell, Figs 3-4 and Table 4 included, runs through
+:func:`sweep` -> :func:`run_algo`; the Fig-10 stream is
+:func:`streaming_experiment`. Protocol choices mirror the paper:
 
 - MFD = Spark coreset (per-color Gonzalez, size m*k) + driver MWU; the
   coreset construction time is *included* in MFD's runtime, as in the
-  paper; loading the points into Spark (once per sweep) is not.
+  paper; loading the points into Spark (once per sweep) is not. The label
+  ``MFD-<g>`` (e.g. ``MFD-0.1``) sets the early-stop g; plain ``MFD`` runs
+  :func:`repro.core.mfd.mfd`'s default g = 0.3.
 - FairGreedyFlow consumes the same coreset (paper §6.2 compares the two
   "given that the same coreset is given as input"); its time also
   includes the coreset construction.
 - FairFlow and FMMD-S run on the full point set (each builds its own
   candidate structure, as their papers specify).
-- SFDM-2 streams the full point set once; its [d_min, d_max] comes from
-  the coreset's min nonzero pairwise distance and the global-Gonzalez
-  upper bound (the paper's footnote 5 protocol).
+- SFDM-2 streams the full point set once (:func:`repro.core.streaming.feed`);
+  its [d_min, d_max] comes from :func:`repro.baselines.sfdm2.offline_bounds`
+  on the cell's coreset, the one offline bounds protocol (the paper's
+  footnote 5). Fig 10 instead estimates the spread from a sample
+  (footnote 6).
 - MFD and FairGreedyFlow get their quotas on the coreset from
   ``core.mfd.solve_coreset``; their ``missed`` counts the requested quotas.
-- Randomized algorithms are averaged over ``repeats`` runs (paper: 5).
+- MFD (every ``MFD-<g>``) is averaged over ``repeats`` runs (paper: 5);
+  the other algorithms run once.
 - A run is DNF when it exceeds ``timeout_s`` wall-clock or (FMMD-S) its
   exact-search node budget — the scaled-down analogue of the paper's
   30-minute kill rule.
@@ -32,10 +39,11 @@ import numpy as np
 from ..baselines.fairflow import fairflow
 from ..baselines.fairgreedyflow import fairgreedyflow
 from ..baselines.fmmds import FMMDSBudgetExceeded, fmmds
-from ..baselines.sfdm2 import SFDM2
+from ..baselines.sfdm2 import SFDM2, offline_bounds
 from ..core.coreset import coreset_arrays, coreset_numpy, to_spark_points
 from ..core.geometry import equal_quotas, pairwise_distances, proportional_quotas
-from ..core.mfd import gamma_upper_bound, solve_coreset
+from ..core.mfd import solve_coreset
+from ..core.streaming import StreamMFD, feed
 from ..data.datasets import dataset_arrays
 
 ALGOS = [
@@ -85,16 +93,6 @@ def make_quotas(mode: str, k: int, colors: np.ndarray, m: int) -> np.ndarray:
     raise ValueError(mode)
 
 
-def _sfdm_bounds(Xc: np.ndarray, X: np.ndarray, k: int) -> tuple[float, float]:
-    D = pairwise_distances(Xc)
-    pos = D[D > 0]
-    d_min = float(pos.min()) if len(pos) else 1e-6
-    d_max = float(gamma_upper_bound(Xc, k))
-    if not np.isfinite(d_max):
-        d_max = float(pos.max()) if len(pos) else 1.0
-    return d_min, max(d_max, d_min * 2)
-
-
 @contextmanager
 def _ingested(spark, X: np.ndarray, colors: np.ndarray):
     """The points as a cached, materialized Spark DataFrame (None without
@@ -130,18 +128,18 @@ def run_algo(
     *,
     coreset: tuple[np.ndarray, np.ndarray],
     coreset_time: float,
-    g: float = 0.3,
     seed: int = 0,
     timeout_s: float = 600.0,
     fmmds_budget: int = 300_000,
 ) -> tuple[float, float, np.ndarray, bool, str]:
-    """One run. Returns (diversity, runtime_s, missed, dnf, note)."""
+    """One run of ``algo`` (an :data:`ALGOS` label or ``MFD-<g>``).
+    Returns (diversity, runtime_s, missed, dnf, note)."""
     Xc, cc = coreset
-    k = int(quotas.sum())
     t0 = time.perf_counter()
     try:
         if algo.startswith("MFD"):
-            res = solve_coreset(Xc, cc, quotas, g=g, seed=seed)
+            early_stop = {"g": float(algo[4:])} if algo.startswith("MFD-") else {}
+            res = solve_coreset(Xc, cc, quotas, seed=seed, **early_stop)
             dt = time.perf_counter() - t0 + coreset_time
         elif algo == "FairFlow":
             res = fairflow(X, colors, quotas, seed=seed)
@@ -154,13 +152,10 @@ def run_algo(
             dt = time.perf_counter() - t0
         elif algo.startswith("SFDM-2"):
             eps = 0.15 if ".15" in algo else 0.75
-            d_min, d_max = _sfdm_bounds(Xc, X, k)
+            d_min, d_max = offline_bounds(Xc, int(quotas.sum()))
             inst = SFDM2(X.shape[1], quotas, eps=eps, d_min=d_min, d_max=d_max)
-            deadline = t0 + timeout_s
-            for i in range(len(X)):
-                inst.insert(X[i], int(colors[i]))
-                if (i & 0x3FF) == 0 and time.perf_counter() > deadline:
-                    return np.nan, time.perf_counter() - t0, quotas.copy(), True, "timeout"
+            if not feed(inst, X, colors, deadline=t0 + timeout_s):
+                return np.nan, time.perf_counter() - t0, quotas.copy(), True, "timeout"
             res = inst.solution()
             dt = time.perf_counter() - t0
         else:
@@ -181,13 +176,12 @@ def sweep(
     scale: float | None = None,
     seed: int = 0,
     repeats: int = 5,
-    g: float = 0.3,
     spark=None,
     timeout_s: float = 600.0,
     fmmds_budget: int = 300_000,
 ) -> list[RunRecord]:
-    """Run the full (k x algo) grid for one dataset; randomized algorithms
-    are averaged over ``repeats`` seeds, deterministic ones run once."""
+    """Run the full (k x algo) grid for one dataset; MFD (any ``MFD-<g>``)
+    is averaged over ``repeats`` seeds, the other algorithms run once."""
     scale = BENCH_SCALES[dataset] if scale is None else scale
     X, colors, meta = dataset_arrays(dataset, scale=scale, seed=seed)
     out: list[RunRecord] = []
@@ -196,8 +190,7 @@ def sweep(
             quotas = make_quotas(quota_mode, k, colors, meta.m)
             Xc, cc, coreset_time = _timed_coreset(df, X, colors, k)
             for algo in algos:
-                reps = repeats if algo.startswith(("MFD", "SFDM")) else 1
-                reps = 1 if algo.startswith("SFDM") else reps  # stream is deterministic
+                reps = repeats if algo.startswith("MFD") else 1
                 divs, times, missed_acc = [], [], np.zeros(meta.m)
                 dnf, note = False, ""
                 for r in range(reps):
@@ -208,7 +201,6 @@ def sweep(
                         quotas,
                         coreset=(Xc, cc),
                         coreset_time=coreset_time,
-                        g=g,
                         seed=seed + r,
                         timeout_s=timeout_s,
                         fmmds_budget=fmmds_budget,
@@ -247,10 +239,8 @@ def streaming_experiment(
     quota_mode: str = "equal",
 ) -> list[dict]:
     """Fig-10 experiment: stream the dataset once per algorithm; report
-    average per-item update time, post-processing time, diversity, and
-    synopsis size for StreamMFD vs SFDM-2(e=.15/.75)."""
-    from ..core.streaming import StreamMFD
-
+    average per-item update time, post-processing time, diversity,
+    synopsis size and missed quota slots for StreamMFD vs SFDM-2(e=.15/.75)."""
     scale = BENCH_SCALES[dataset] if scale is None else scale
     X, colors, meta = dataset_arrays(dataset, scale=scale, seed=seed)
     n = len(X)
@@ -264,77 +254,19 @@ def streaming_experiment(
     rows: list[dict] = []
     for k in ks:
         quotas = make_quotas(quota_mode, k, colors, meta.m)
-        # StreamMFD
-        sm = StreamMFD(meta.d, meta.m, per_color_k=k)
-        t0 = time.perf_counter()
-        for i in range(n):
-            sm.insert(X[i], int(colors[i]))
-        upd = (time.perf_counter() - t0) / n
-        t0 = time.perf_counter()
-        res = sm.solution(quotas, seed=seed)
-        post = time.perf_counter() - t0
-        rows.append(
-            dict(algo="StreamMFD", k=k, update_us=upd * 1e6, post_s=post,
-                 diversity=res.diversity, stored=sm.stored_items(),
-                 missed=float(res.missed.sum()))
-        )
-        for eps, label in ((0.15, "SFDM-2(e=.15)"), (0.75, "SFDM-2(e=.75)")):
-            inst = SFDM2(meta.d, quotas, eps=eps, d_min=d_min, d_max=d_max)
+        for label, inst in (
+            ("StreamMFD", StreamMFD(meta.d, meta.m, per_color_k=k)),
+            ("SFDM-2(e=.15)", SFDM2(meta.d, quotas, eps=0.15, d_min=d_min, d_max=d_max)),
+            ("SFDM-2(e=.75)", SFDM2(meta.d, quotas, eps=0.75, d_min=d_min, d_max=d_max)),
+        ):
             t0 = time.perf_counter()
-            for i in range(n):
-                inst.insert(X[i], int(colors[i]))
-            upd = (time.perf_counter() - t0) / n
-            t0 = time.perf_counter()
-            bres = inst.solution()
-            post = time.perf_counter() - t0
+            feed(inst, X, colors)
+            t1 = time.perf_counter()
+            res = inst.solution(quotas, seed=seed) if isinstance(inst, StreamMFD) else inst.solution()
             rows.append(
-                dict(algo=label, k=k, update_us=upd * 1e6, post_s=post,
-                     diversity=bres.diversity, stored=inst.stored_items(),
-                     missed=float(bres.missed.sum()))
+                dict(algo=label, k=k, update_us=(t1 - t0) / n * 1e6, post_s=time.perf_counter() - t1,
+                     diversity=res.diversity, stored=inst.stored_items(),
+                     missed=float(res.missed.sum()))
             )
     return rows
 
-
-def mfd_g_sweep(
-    dataset: str,
-    ks: list[int],
-    gs: list[float],
-    *,
-    quota_mode: str = "equal",
-    scale: float | None = None,
-    seed: int = 0,
-    repeats: int = 5,
-    spark=None,
-) -> list[RunRecord]:
-    """Micro-benchmark grid (Figs 3-4, Table 4): MFD across early-stop g."""
-    scale = BENCH_SCALES[dataset] if scale is None else scale
-    X, colors, meta = dataset_arrays(dataset, scale=scale, seed=seed)
-    out: list[RunRecord] = []
-    with _ingested(spark, X, colors) as df:
-        for k in ks:
-            quotas = make_quotas(quota_mode, k, colors, meta.m)
-            Xc, cc, coreset_time = _timed_coreset(df, X, colors, k)
-            for g in gs:
-                divs, times = [], []
-                missed_acc = np.zeros(meta.m)
-                for r in range(repeats):
-                    t1 = time.perf_counter()
-                    res = solve_coreset(Xc, cc, quotas, g=g, seed=seed + r)
-                    times.append(time.perf_counter() - t1 + coreset_time)
-                    divs.append(res.diversity)
-                    missed_acc += res.missed
-                out.append(
-                    RunRecord(
-                        dataset,
-                        f"MFD-{g}",
-                        k,
-                        quota_mode,
-                        meta.n,
-                        meta.m,
-                        float(np.mean(divs)),
-                        float(np.mean(times)),
-                        float(missed_acc.sum() / repeats),
-                        (missed_acc / repeats).tolist(),
-                    )
-                )
-    return out

@@ -69,16 +69,17 @@ def pareto_table(records: list[RunRecord], *, title: str) -> str:
 
 
 def streaming_table(rows: list[dict], *, title: str) -> str:
-    """Fig-10 style: update time / post time / diversity per algorithm."""
+    """Fig-10 style: update time / post time / diversity / stored items /
+    missed quota slots per algorithm."""
     lines = [
         f"### {title}",
         "",
-        "| algorithm | k | avg update (µs) | post-processing (s) | diversity | stored items |",
-        "|---|---|---|---|---|---|",
+        "| algorithm | k | avg update (µs) | post-processing (s) | diversity | stored items | missed |",
+        "|---|---|---|---|---|---|---|",
     ]
     for r in rows:
         lines.append(
             f"| {r['algo']} | {r['k']} | {_fmt(r['update_us'], 1)} | {_fmt(r['post_s'], 3)} "
-            f"| {_fmt(r['diversity'], 3)} | {r['stored']} |"
+            f"| {_fmt(r['diversity'], 3)} | {r['stored']} | {_fmt(r['missed'], 0)} |"
         )
     return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ from repro.experiments.harness import (
     ALGOS,
     RunRecord,
     make_quotas,
-    mfd_g_sweep,
     streaming_experiment,
     sweep,
 )
@@ -49,7 +48,7 @@ def test_sweep_proportional_mode():
 
 
 def test_mfd_g_sweep_runtime_monotone_in_g():
-    records = mfd_g_sweep("adult", [8], [0.1, 0.7], scale=0.02, repeats=2)
+    records = sweep("adult", [8], [f"MFD-{g}" for g in (0.1, 0.7)], scale=0.02, repeats=2)
     r01 = next(r for r in records if r.algo == "MFD-0.1")
     r07 = next(r for r in records if r.algo == "MFD-0.7")
     assert r01.runtime_s <= r07.runtime_s * 1.5  # more iterations cost more
@@ -63,6 +62,24 @@ def test_streaming_experiment_tiny():
     dense = next(r for r in rows if r["algo"] == "SFDM-2(e=.15)")
     assert sm["update_us"] < dense["update_us"]  # Fig 10 headline ordering
     assert sm["stored"] <= dense["stored"]  # O(mk) vs O(mk log Delta)
+    table = tables.streaming_table(rows, title="F")
+    assert "| stored items | missed |" in table
+    for r in rows:
+        assert f"| {r['stored']} | {r['missed']:.0f} |" in table
+
+
+def test_jobs_import(monkeypatch):
+    """Every jobs/run_*.py imports (without running main), so a renamed
+    harness or table function fails here rather than in a job run."""
+    import importlib
+    import pathlib
+
+    jobs = pathlib.Path(__file__).resolve().parents[1] / "jobs"
+    monkeypatch.syspath_prepend(str(jobs))
+    scripts = sorted(jobs.glob("run_*.py"))
+    assert len(scripts) >= 8
+    for path in scripts:
+        assert callable(importlib.import_module(path.stem).main), path.name
 
 
 def test_sweep_with_spark_coreset(spark):

@@ -146,3 +146,31 @@ def test_mfd_spark_coreset_smaller_than_quota_shows_as_miss(spark):
     assert res.extras["held"].tolist() == [3, 3, 3]
     assert res.missed[0] == 4 - np.sum(res.colors == 0) > 0
     assert res.missed.tolist() == missed_per_color(res.colors, quotas).tolist()
+
+
+@pytest.mark.parametrize("solver", ["dense", "tree", "hp", "coreset"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "color_ge_m", "negative_color"])
+def test_bad_input_raises_value_error(bad, solver):
+    """Non-finite coordinates and color ids outside [0, m) are rejected
+    with a clear ValueError by every entry point, not turned into a nan
+    diversity or a numpy broadcast error."""
+    from repro.core.hp import mfd_hp
+    from repro.core.mfd import solve_coreset
+
+    X, colors = _instance(30, 2, 2, seed=0)
+    if bad == "nan":
+        X[5, 0] = np.nan
+    elif bad == "inf":
+        X[5, 1] = np.inf
+    elif bad == "color_ge_m":
+        colors[5] = 2
+    else:
+        colors[5] = -1
+    run = {
+        "dense": lambda: mfd(X, colors, np.array([2, 2]), backend="dense", seed=0),
+        "tree": lambda: mfd(X, colors, np.array([2, 2]), backend="tree", seed=0),
+        "hp": lambda: mfd_hp(X, colors, np.array([2, 2]), seed=0),
+        "coreset": lambda: solve_coreset(X, colors, np.array([2, 2]), seed=0),
+    }[solver]
+    with pytest.raises(ValueError, match="non-finite|color ids"):
+        run()

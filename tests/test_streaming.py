@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.sfdm2 import SFDM2, sfdm2_offline
 from repro.core.geometry import equal_quotas, pairwise_distances
 from repro.core.gonzalez import gonzalez, gonzalez_radius
-from repro.core.streaming import DoublingKCenter, StreamMFD
+from repro.core.streaming import DoublingKCenter, StreamMFD, feed
 
 
 def _stream(n, d, m, seed, spread=5.0):
@@ -91,6 +91,42 @@ def test_sfdm2_dense_grid_at_least_as_diverse():
     d15 = sfdm2_offline(X, colors, quotas, eps=0.15).diversity
     d75 = sfdm2_offline(X, colors, quotas, eps=0.75).diversity
     assert d15 >= 0.6 * d75  # allow noise but dense grid must be competitive
+
+
+@pytest.mark.parametrize("identical_points", [False, True])
+@pytest.mark.parametrize("given", [("d_min", "d_max"), ("d_min",), ("d_max",)], ids=["both", "d_min", "d_max"])
+def test_sfdm2_offline_passes_caller_bounds_unchanged(monkeypatch, given, identical_points):
+    """A bound the caller gives reaches SFDM2 as given, also when the other
+    one is computed and the coreset has no non-zero distance (all rows at
+    one location)."""
+    import repro.baselines.sfdm2 as sfdm2_mod
+
+    X, colors = _stream(300, 2, 3, 23)
+    if identical_points:
+        X[:] = 1.0
+    bounds = {name: {"d_min": 0.37, "d_max": 11.5}[name] for name in given}
+    seen = {}
+
+    class Recording(SFDM2):
+        def __init__(self, d, quotas, *, eps, d_min, d_max):
+            seen.update(d_min=d_min, d_max=d_max)
+            super().__init__(d, quotas, eps=eps, d_min=d_min, d_max=d_max)
+
+    monkeypatch.setattr(sfdm2_mod, "SFDM2", Recording)
+    sfdm2_offline(X, colors, equal_quotas(6, 3), eps=0.75, **bounds)
+    assert {name: seen[name] for name in given} == bounds
+
+
+def test_feed_stops_at_deadline():
+    """feed reads the clock every 1,024 rows and stops once the deadline
+    has passed; with no deadline it streams every row."""
+    X, colors = _stream(3000, 2, 2, 29)
+    sm = StreamMFD(2, 2, per_color_k=4)
+    assert not feed(sm, X, colors, deadline=0.0)
+    assert sm.n_seen == 1
+    sm = StreamMFD(2, 2, per_color_k=4)
+    assert feed(sm, X, colors)
+    assert sm.n_seen == 3000
 
 
 def test_partitioned_synopsis_matches_serial_quality(spark):
