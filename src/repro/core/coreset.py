@@ -19,17 +19,71 @@ Spark pipeline shape (one job, one task per task slot)::
       .toPandas()                         # O(m * slots * k) partial centers
     coreset_numpy(partial centers)        # per-color merge on the driver
 
-Each Python task has a fixed cost (0.05-0.07 s on a 4-core VM) well above
-its Gonzalez work at bench scale, so the pass runs one task per slot rather
-than one per partition or per color; see EXPERIMENTS.md ("Spark coreset").
+Each Python task has a fixed cost well above its Gonzalez work at bench
+scale, so the pass runs one task per slot rather than one per partition or
+per color. Before every task PySpark's worker calls
+``importlib.invalidate_caches()``, which on Python < 3.13 re-reads the
+central directory of every zip archive on the worker's path (pyspark.zip,
+py4j, the spark-core jar): about 0.23 s of the 0.30 s a task held its
+slot on a 4-core VM. :func:`skip_unchanged_zip_rereads`, the first call of
+every Python task in this package, makes workers re-read only archives
+that changed on disk, which leaves about 0.08 s per task; see
+EXPERIMENTS.md ("Spark coreset").
 """
 from __future__ import annotations
+
+import os
+import sys
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .gonzalez import gonzalez
+
+
+_zip_rereads_skipped = False  # set once skip_unchanged_zip_rereads has installed
+
+
+def _stat_stamp(path: str) -> tuple[int, int] | None:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_mtime_ns, st.st_size
+
+
+def skip_unchanged_zip_rereads() -> None:
+    """Make ``zipimporter.invalidate_caches`` re-read an archive's directory
+    only when the archive's (mtime_ns, size) changed since it was last read,
+    or cannot be stat'ed. Call it first thing in a Python task.
+
+    Installs once per process, on Python < 3.13 only (3.13 re-reads lazily).
+    The archives of the importers already cached count as read as they are
+    now (in a Spark task, the worker's own ``invalidate_caches`` has just
+    re-read them), so the next task's call already reads nothing."""
+    global _zip_rereads_skipped
+    if _zip_rereads_skipped or sys.version_info >= (3, 13):
+        return
+    import zipimport
+
+    stamps: dict[str, tuple[int, int] | None] = {}
+    reread = zipimport.zipimporter.invalidate_caches
+
+    def invalidate_caches(self):
+        stamp = _stat_stamp(self.archive)
+        files = zipimport._zip_directory_cache.get(self.archive)
+        if stamp is not None and files is not None and stamps.get(self.archive) == stamp:
+            self._files = files
+            return
+        reread(self)
+        stamps[self.archive] = stamp
+
+    for importer in list(sys.path_importer_cache.values()):
+        if isinstance(importer, zipimport.zipimporter):
+            stamps[importer.archive] = _stat_stamp(importer.archive)
+    zipimport.zipimporter.invalidate_caches = invalidate_caches
+    _zip_rereads_skipped = True
 
 
 def feature_columns(df) -> list[str]:
@@ -67,6 +121,7 @@ def coreset_arrays(
     work = df.select(*feats, color_col)
 
     def local(batches):
+        skip_unchanged_zip_rereads()
         parts = list(batches)
         if parts:
             pdf = pd.concat(parts, ignore_index=True)

@@ -125,28 +125,29 @@ def feed(inst, X: np.ndarray, colors: np.ndarray, *, deadline: float = np.inf) -
 
 def stream_partitioned_synopsis(df, per_color_k: int, *, color_col: str = "color"):
     """Distributed variant: each Spark partition runs its own per-color
-    doubling synopsis over its slice of the stream, and the partial
-    synopses are merged on the driver by a final per-color Gonzalez —
-    the composable-coreset argument (Theorem 4.2) again. Returns
-    (X, colors) of the merged O(mk) synopsis."""
+    doubling synopsis over its slice of the stream, fed every Arrow batch
+    of the partition in row order, and the partial synopses are merged on
+    the driver by a final per-color Gonzalez — the composable-coreset
+    argument (Theorem 4.2) again. Returns (X, colors) of the merged O(mk)
+    synopsis."""
     import pandas as pd
 
-    from .coreset import coreset_numpy, feature_columns
+    from .coreset import coreset_numpy, feature_columns, skip_unchanged_zip_rereads
 
     feats = feature_columns(df)
     m_holder = df.selectExpr(f"max({color_col}) as mx").collect()[0].mx + 1
     schema = df.select(*feats, color_col).schema
 
     def per_partition(batches):
+        skip_unchanged_zip_rereads()
+        sm = StreamMFD(len(feats), m_holder, per_color_k)
         for pdf in batches:
-            X = pdf[feats].to_numpy(dtype=np.float64)
-            colors = pdf[color_col].to_numpy(dtype=np.int64)
-            sm = StreamMFD(X.shape[1], m_holder, per_color_k)
-            feed(sm, X, colors)
-            Xs, cs = sm.synopsis()
-            out = pd.DataFrame(Xs, columns=feats)
-            out[color_col] = cs
-            yield out
+            feed(sm, pdf[feats].to_numpy(dtype=np.float64),
+                 pdf[color_col].to_numpy(dtype=np.int64))
+        Xs, cs = sm.synopsis()
+        out = pd.DataFrame(Xs, columns=feats)
+        out[color_col] = cs
+        yield out
 
     partial = df.select(*feats, color_col).mapInPandas(per_partition, schema=schema)
     pdf = partial.toPandas()

@@ -1,4 +1,9 @@
 """Coreset construction (Theorem 4.2): serial + distributed, properties."""
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -164,3 +169,114 @@ def test_coreset_then_mfd_end_to_end(spark):
     res = mfd(Xc, cc, quotas, seed=0, g=0.5)
     assert res.diversity > 0
     assert res.missed.sum() <= 2
+
+
+_ZIP_REREAD_SCRIPT = textwrap.dedent(
+    """
+    import importlib, os, sys, zipfile, zipimport
+
+    from repro.core.coreset import skip_unchanged_zip_rereads
+
+    archive = os.path.join(sys.argv[1], "mods.zip")
+
+    def write(mods):
+        with zipfile.ZipFile(archive, "w") as z:
+            for name in mods:
+                z.writestr(name + ".py", "VALUE = %r\\n" % name)
+
+    reads = []
+    read_directory = zipimport._read_directory
+
+    def counting(path):
+        reads.append(path)
+        return read_directory(path)
+
+    def rereads():
+        reads.clear()
+        importlib.invalidate_caches()
+        return reads.count(archive)
+
+    write(["zmod_a"])
+    sys.path.insert(0, archive)
+    import zmod_a
+    zipimport._read_directory = counting
+    assert rereads() == 1  # stock behavior: every call re-reads
+
+    skip_unchanged_zip_rereads()
+    installed = zipimport.zipimporter.invalidate_caches
+    assert rereads() == 0, "unchanged archive re-read"
+
+    size = os.path.getsize(archive)
+    write(["zmod_a", "zmod_b"])
+    assert os.path.getsize(archive) != size
+    assert rereads() == 1, "rewritten archive not re-read"
+    import zmod_b
+    assert zmod_b.VALUE == "zmod_b"
+    assert rereads() == 0
+
+    skip_unchanged_zip_rereads()
+    assert zipimport.zipimporter.invalidate_caches is installed
+    assert rereads() == 0
+
+    os.remove(archive)
+    assert rereads() == 1, "archive that cannot be stat'ed not re-read"
+    print("ok")
+    """
+)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="zipimport re-reads lazily from 3.13")
+def test_skip_unchanged_zip_rereads(tmp_path):
+    """invalidate_caches re-reads an archive only once it changed on disk;
+    a second install changes nothing. Runs in a fresh interpreter so this
+    process's importers stay as they are."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _ZIP_REREAD_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+def test_coreset_spark_tasks_skip_rereading_unchanged_archives(spark):
+    """Once coreset_arrays has run, a Python task on the reused workers
+    re-reads no zip archive when PySpark's worker calls
+    importlib.invalidate_caches() before the task."""
+    X, colors = _instance(2000, 2, 4, seed=13)
+    slots = spark.sparkContext.defaultParallelism
+    df = to_spark_points(spark, X, colors, n_partitions=2 * slots)
+    for _ in range(2):
+        coreset_arrays(df, 5)
+
+    def probe(batches):
+        import importlib
+        import zipimport
+
+        for _ in batches:
+            pass
+        archives = {
+            imp.archive for imp in sys.path_importer_cache.values()
+            if isinstance(imp, zipimport.zipimporter)
+        }
+        reads = []
+        read_directory = zipimport._read_directory
+
+        def counting(path):
+            reads.append(path)
+            return read_directory(path)
+
+        zipimport._read_directory = counting
+        try:
+            importlib.invalidate_caches()
+        finally:
+            zipimport._read_directory = read_directory
+        yield pd.DataFrame({"pid": [os.getpid()], "archives": [len(archives)], "reads": [len(reads)]})
+
+    out = df.coalesce(slots).mapInPandas(probe, "pid long, archives long, reads long").toPandas()
+    assert len(out) == slots
+    assert (out["archives"] > 0).all()  # the workers do import from zip archives
+    assert (out["reads"] == 0).all(), out

@@ -144,6 +144,25 @@ def test_partitioned_synopsis_matches_serial_quality(spark):
         assert r_par <= 24 * r_ser + 1e-9  # composable constant factor
 
 
+def test_partitioned_synopsis_one_synopsis_per_partition(spark):
+    """A partition longer than one Arrow batch (10,000 rows by default)
+    still streams into one synopsis: on a single partition the result is,
+    as a set, the synopsis of a serial StreamMFD fed in row order."""
+    from repro.core.coreset import to_spark_points
+    from repro.core.streaming import stream_partitioned_synopsis
+
+    X, colors = _stream(12_000, 2, 2, 31)
+    df = to_spark_points(spark, X, colors).coalesce(1)  # coalesce keeps row order
+    Xs, cs = stream_partitioned_synopsis(df, per_color_k=8)
+    sm = StreamMFD(2, 2, per_color_k=8)
+    feed(sm, X, colors)
+    Xr, cr = sm.synopsis()
+    assert {(*p, c) for p, c in zip(Xs.tolist(), cs.tolist())} == {
+        (*p, c) for p, c in zip(Xr.tolist(), cr.tolist())
+    }
+    assert len(Xs) == len(Xr)
+
+
 def test_streammfd_synopsis_shortfall_reported_against_requested_quotas():
     """A synopsis holding fewer than k_0 points of color 0 cannot meet k_0:
     the shortfall is a miss, and extras['held'] shows it."""
