@@ -2,11 +2,17 @@
 
 Mirrors conftest.py's session settings so job runs and test runs see the
 same Spark configuration (local[*], broadcast joins disabled, Arrow on).
+Importing it puts ``src/`` on the path of the driver and of Spark's Python
+workers.
 """
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
+# Spark's Python workers inherit the environment, not sys.path; set it
+# before the JVM starts so mapInPandas tasks can import repro too.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",

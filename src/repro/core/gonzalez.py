@@ -34,7 +34,9 @@ def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     The traversal starts at row 0 (the approximation guarantee holds for
     any start; a fixed one keeps runs deterministic). ``radii[t]`` is the
     distance from center ``t`` to the previously selected centers at the
-    moment it was chosen (radii[0] = inf). The radii are non-increasing;
+    moment it was chosen (radii[0] = inf). The order never repeats a row,
+    so on input with fewer than k distinct points the tail holds duplicates
+    at radius 0. The radii are non-increasing;
     prefix ``order[:t]`` is a valid Gonzalez run for k'=t, which makes
     stored prefixes reusable for any query k.
     """
@@ -45,10 +47,12 @@ def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k == 0:
         return order, radii
     mind = dists_to_point(X, X[0])
+    mind[0] = -np.inf  # a selected row is never picked again, even at distance 0
     for t in range(1, k):
         nxt = int(np.argmax(mind))
         order[t], radii[t] = nxt, mind[nxt]
         np.minimum(mind, dists_to_point(X, X[nxt]), out=mind)
+        mind[nxt] = -np.inf
     return order, radii
 
 

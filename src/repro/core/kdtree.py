@@ -5,10 +5,11 @@ substitutes a KD-tree (ParGeo) "with modifications to support sum
 queries", and we do the same in numpy. What the MWU algorithms actually
 need is the BBD *interface*:
 
-- ``canonical_nodes(x, r, eps)``: a set of disjoint canonical nodes whose
-  point sets cover every point of ``B(x, r)`` and include nothing outside
-  ``B(x, (1+eps) r)`` — this defines the fuzzy neighborhood S^eps_p of
-  the paper (Section 3.1).
+- ``canonical_nodes(Q, r, eps)``: for every query point x in the batch
+  ``Q``, a set of disjoint canonical nodes whose point sets cover every
+  point of ``B(x, r)`` and include nothing outside ``B(x, (1+eps) r)`` —
+  the query T(x, r) that defines the fuzzy neighborhood S^eps_x of the
+  paper (Section 3.1). One call answers all of ``Q``.
 - ``leaf_paths()``: every point's leaf→root path, along which Oracle and
   Update (Algorithms 2–3) aggregate per-node sums and Round (Algorithm 4)
   deactivates nodes (see :mod:`repro.core.mwu`).
@@ -16,12 +17,24 @@ need is the BBD *interface*:
 Nodes are stored in flat arrays; each node's box is the tight bounding
 box of its subtree's points (tight boxes play the role of BBD shrink
 nodes well enough in practice; the paper's own KD-tree substitution makes
-the same trade). Exactly one point per leaf, 2n-1 nodes, height O(log n)
-via median splits on the widest dimension.
+the same trade). Exactly one point per leaf, 2n-1 nodes in preorder,
+height O(log n) via stable median splits on the widest dimension. Every
+node owns a contiguous slice of one point permutation, ``order``, with
+its right child's slice before its left child's.
+
+Every query is one walk (:meth:`KDTree._walk`): level by level, over all
+(query, node) pairs at once, pairs whose node the query prunes drop out,
+pairs whose node it accepts are reported, and every other pair moves to
+the node's two children. A leaf's tight box is its own point, so a leaf
+is always pruned or accepted.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    return np.sqrt((d * d).sum(axis=1))
 
 
 class KDTree:
@@ -33,119 +46,104 @@ class KDTree:
             raise ValueError("KDTree needs a non-empty (n, d) array")
         self.X = X
         n = len(X)
-        max_nodes = 2 * n - 1
-        self.lo = np.empty((max_nodes, X.shape[1]))
-        self.hi = np.empty((max_nodes, X.shape[1]))
-        self.left = np.full(max_nodes, -1, dtype=np.int64)
-        self.right = np.full(max_nodes, -1, dtype=np.int64)
-        self.parent = np.full(max_nodes, -1, dtype=np.int64)
-        self.leaf_point = np.full(max_nodes, -1, dtype=np.int64)
+        self.n_nodes = 2 * n - 1
+        self.lo = np.empty((self.n_nodes, X.shape[1]))
+        self.hi = np.empty((self.n_nodes, X.shape[1]))
+        self.left = np.full(self.n_nodes, -1, dtype=np.int64)
+        self.right = np.full(self.n_nodes, -1, dtype=np.int64)
+        self.parent = np.full(self.n_nodes, -1, dtype=np.int64)
+        self.leaf_point = np.full(self.n_nodes, -1, dtype=np.int64)
         self.point_leaf = np.empty(n, dtype=np.int64)
-        self.size = np.empty(max_nodes, dtype=np.int64)
-        self._n_nodes = 0
-        self._build(np.arange(n, dtype=np.int64), -1)
-        self.n_nodes = self._n_nodes
+        self.start = np.empty(self.n_nodes, dtype=np.int64)
+        self.size = np.empty(self.n_nodes, dtype=np.int64)
+        self.order = np.arange(n, dtype=np.int64)
+        self._build(0, 0, n, -1)
 
-    def _build(self, idx: np.ndarray, parent: int) -> int:
-        node = self._n_nodes
-        self._n_nodes += 1
+    def _build(self, node: int, start: int, size: int, parent: int) -> None:
+        idx = self.order[start : start + size]
         pts = self.X[idx]
         self.lo[node] = pts.min(axis=0)
         self.hi[node] = pts.max(axis=0)
-        self.parent[node] = parent
-        self.size[node] = len(idx)
-        if len(idx) == 1:
+        self.parent[node], self.start[node], self.size[node] = parent, start, size
+        if size == 1:
             self.leaf_point[node] = idx[0]
             self.point_leaf[idx[0]] = node
-            return node
-        spread = self.hi[node] - self.lo[node]
-        dim = int(np.argmax(spread))
-        order = idx[np.argsort(pts[:, dim], kind="stable")]
-        mid = len(order) // 2
-        self.left[node] = self._build(order[:mid], node)
-        self.right[node] = self._build(order[mid:], node)
-        return node
+            return
+        dim = int(np.argmax(self.hi[node] - self.lo[node]))
+        srt = idx[np.argsort(pts[:, dim], kind="stable")]
+        mid = size // 2
+        # The right child's slice comes first. Any fixed layout is a valid
+        # tree; this one fixes the row each node's slice starts with (where
+        # QFairDiv starts its per-node Gonzalez) and the order in which
+        # MWU's Update sums a point's cover nodes.
+        idx[:] = np.concatenate([srt[mid:], srt[:mid]])
+        # Preorder ids: the left subtree's 2*mid - 1 nodes come first.
+        self.left[node], self.right[node] = node + 1, node + 2 * mid
+        self._build(node + 1, start + size - mid, mid, node)
+        self._build(node + 2 * mid, start, size - mid, node)
 
-    # -- geometric predicates -------------------------------------------------
-
-    def _box_min_dist(self, node: int, x: np.ndarray) -> float:
-        d = np.maximum(self.lo[node] - x, 0.0) + np.maximum(x - self.hi[node], 0.0)
-        return float(np.sqrt((d * d).sum()))
-
-    def _box_max_dist(self, node: int, x: np.ndarray) -> float:
-        d = np.maximum(np.abs(x - self.lo[node]), np.abs(x - self.hi[node]))
-        return float(np.sqrt((d * d).sum()))
+    def _walk(self, n_queries: int, test) -> np.ndarray:
+        """``(P, 2)`` array of the (query, node) pairs reported by one
+        level-synchronous walk from the root. ``test(q, u)`` returns the
+        (prune, accept) masks of a batch of pairs. Pairs are sorted by
+        query, then by where the node's slice lies in ``order``."""
+        q = np.arange(n_queries)
+        u = np.zeros(n_queries, dtype=np.int64)
+        found = []
+        while len(q):
+            prune, accept = test(q, u)
+            accept &= ~prune
+            found.append(np.column_stack([q[accept], u[accept]]))
+            split = ~(prune | accept)
+            q, u = np.repeat(q[split], 2), u[split]
+            u = np.column_stack([self.left[u], self.right[u]]).ravel()
+        pairs = np.concatenate(found)
+        return pairs[np.lexsort((self.start[pairs[:, 1]], pairs[:, 0]))]
 
     # -- BBD interface --------------------------------------------------------
 
-    def canonical_nodes(self, x: np.ndarray, r: float, eps: float) -> list[int]:
-        """Disjoint canonical nodes for the fuzzy ball query T(x, r).
+    def canonical_nodes(self, Q: np.ndarray, r: float, eps: float) -> np.ndarray:
+        """Disjoint canonical nodes for the fuzzy ball queries T(x, r), one
+        per row x of the ``(q, d)`` batch ``Q``, as (query, node) pairs.
 
         Guarantees: every point within ``r`` of ``x`` lies in exactly one
         reported node's subtree, and no reported subtree contains a point
-        farther than ``(1+eps) r``.
+        farther than ``(1+eps) r``; with ``eps = 0`` the reported points
+        are exactly B(x, r).
         """
-        x = np.asarray(x, dtype=np.float64)
-        out: list[int] = []
+        if not eps >= 0.0:
+            raise ValueError(f"eps must be >= 0, got {eps}")
+        Q = np.asarray(Q, dtype=np.float64)
         fuzzy = (1.0 + eps) * r
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            if self._box_min_dist(u, x) > r:
-                continue
-            if self._box_max_dist(u, x) <= fuzzy:
-                out.append(u)
-                continue
-            if self.leaf_point[u] >= 0:
-                # Straddling leaf: include iff its point is truly within r.
-                p = self.X[self.leaf_point[u]]
-                if float(np.sqrt(((p - x) ** 2).sum())) <= r:
-                    out.append(u)
-                continue
-            stack.append(self.left[u])
-            stack.append(self.right[u])
-        return out
 
-    def canonical_nodes_rect(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
+        def test(q, u):
+            x, lo, hi = Q[q], self.lo[u], self.hi[u]
+            near = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+            far = np.maximum(np.abs(x - lo), np.abs(x - hi))
+            return _norm(near) > r, _norm(far) <= fuzzy
+
+        return self._walk(len(Q), test)
+
+    def canonical_nodes_rect(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Disjoint canonical nodes exactly covering P within the closed
         axis-aligned rectangle [lo, hi] (used by the QFairDiv index)."""
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        out: list[int] = []
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            if np.any(self.hi[u] < lo) or np.any(self.lo[u] > hi):
-                continue
-            if np.all(self.lo[u] >= lo) and np.all(self.hi[u] <= hi):
-                out.append(u)
-                continue
-            if self.leaf_point[u] >= 0:
-                p = self.X[self.leaf_point[u]]
-                if np.all(p >= lo) and np.all(p <= hi):
-                    out.append(u)
-                continue
-            stack.append(self.left[u])
-            stack.append(self.right[u])
-        return out
+
+        def test(q, u):
+            return ((self.hi[u] < lo).any(axis=1) | (self.lo[u] > hi).any(axis=1),
+                    (self.lo[u] >= lo).all(axis=1) & (self.hi[u] <= hi).all(axis=1))
+
+        return self._walk(1, test)[:, 1]
 
     def points_under(self, node: int) -> np.ndarray:
-        """Indices of all points in the subtree of ``node``."""
-        out: list[int] = []
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            if self.leaf_point[u] >= 0:
-                out.append(int(self.leaf_point[u]))
-            else:
-                stack.append(self.left[u])
-                stack.append(self.right[u])
-        return np.array(out, dtype=np.int64)
+        """Indices of all points in the subtree of ``node`` (a view)."""
+        return self.order[self.start[node] : self.start[node] + self.size[node]]
 
     def fuzzy_ball_members(self, x: np.ndarray, r: float, eps: float) -> np.ndarray:
         """Point indices of S^eps_x = union of canonical subtrees of T(x, r)."""
-        nodes = self.canonical_nodes(x, r, eps)
-        if not nodes:
+        nodes = self.canonical_nodes(np.asarray(x)[None], r, eps)[:, 1]
+        if not len(nodes):
             return np.empty(0, dtype=np.int64)
         return np.concatenate([self.points_under(u) for u in nodes])
 

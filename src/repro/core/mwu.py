@@ -13,8 +13,9 @@ nodes. Only the build depends on the neighborhood kind:
   is the ball matrix (the ball of radius gamma/(2(1+eps)) is a *valid*
   S^eps_p with zero fuzz) and P is the identity;
 - tree covers: B lists each point's canonical nodes of the BBD-style
-  query ``T(p, gamma/(2(1+eps)))`` and P each point's leaf→root path —
-  the paper's near-linear Algorithms 2–4.
+  query ``T(p, gamma/(2(1+eps)))``, all n queries answered by one batched
+  :meth:`KDTree.canonical_nodes` call, and P each point's leaf→root
+  path — the paper's near-linear Algorithms 2–4.
 
 The oracle is a rho-ORACLE with rho = k (its solution sets exactly k
 variables to 1, so A_i x - b_i in [-1, k-1]).
@@ -95,9 +96,7 @@ class MWUProblem:
             cover_pt, cover_node = np.nonzero(pairwise_distances(self.X) <= self.radius)
             ident = np.arange(n)
             return Incidence(n, n, cover_pt, cover_node, ident, ident)
-        covers = [self.tree.canonical_nodes(x, self.radius, self.eps) for x in self.X]
-        cover_pt = np.repeat(np.arange(n), [len(c) for c in covers])
-        cover_node = np.array([u for c in covers for u in c], dtype=np.int64)
+        cover_pt, cover_node = self.tree.canonical_nodes(self.X, self.radius, self.eps).T.copy()
         return Incidence(n, self.tree.n_nodes, cover_pt, cover_node, *self.tree.leaf_paths())
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gonzalez import gonzalez, gonzalez_order
+from .gonzalez import gonzalez
 from .kdtree import KDTree
 from .mfd import MFDResult, solve_coreset
 
@@ -48,15 +48,8 @@ class QFairDivIndex:
                 continue
             t = KDTree(self.X[rows])
             self.trees.append(t)
-            orders: list[np.ndarray] = []
-            for u in range(t.n_nodes):
-                pts = t.points_under(u)
-                if len(pts) <= 1:
-                    orders.append(pts)
-                else:
-                    o, _ = gonzalez_order(t.X[pts], min(self.k_max, len(pts)))
-                    orders.append(pts[o])
-            self.node_orders.append(orders)
+            orders = [t.points_under(u) for u in range(t.n_nodes)]
+            self.node_orders.append([pts[gonzalez(t.X[pts], self.k_max)] for pts in orders])
 
     def query(
         self,
@@ -81,7 +74,7 @@ class QFairDivIndex:
             if t is None:
                 continue
             nodes = t.canonical_nodes_rect(lo, hi)
-            if not nodes:
+            if not len(nodes):
                 continue
             prefix_rows = np.concatenate(
                 [self.node_orders[j][u][: min(self.k_max, k)] for u in nodes]

@@ -7,9 +7,12 @@ searching Gamma loses at most a (1+eps) factor on gamma*.
 
 The classic construction runs on a fair-split tree; our balanced KD-tree
 (tight boxes, widest-dimension median splits) is a fair-split-style tree
-and yields the standard O(s^d n) pair bound in practice. The practical
-MFD path (paper Section 6) replaces the WSPD with a geometric-decay
-schedule; this module backs the theory-faithful path and its tests.
+and yields the standard O(s^d n) pair bound in practice. Each node's
+representative point is read off its slice of the tree's point
+permutation, and every pair's representative distance is one numpy
+step. The practical MFD path (paper Section 6) replaces the WSPD with a
+geometric-decay schedule; this module backs the theory-faithful path and
+its tests.
 """
 from __future__ import annotations
 
@@ -70,15 +73,9 @@ def candidate_distances(X: np.ndarray, eps: float) -> np.ndarray:
     if len(X) < 2:
         return np.empty(0)
     tree = KDTree(X)
-    reps = np.empty(tree.n_nodes, dtype=np.int64)
-    # Representative of a node: any point in its subtree (first leaf).
-    for u in range(tree.n_nodes - 1, -1, -1):
-        if tree.leaf_point[u] >= 0:
-            reps[u] = tree.leaf_point[u]
-        else:
-            reps[u] = reps[tree.left[u]]
-    ds = [
-        float(np.sqrt(((X[reps[u]] - X[reps[v]]) ** 2).sum()))
-        for u, v in wspd_pairs(tree, 4.0 / eps)
-    ]
-    return np.unique(np.array(ds))
+    # Representative of a node: any point in its subtree; here its leftmost
+    # leaf, the last entry of the node's slice of ``tree.order``.
+    reps = tree.order[tree.start + tree.size - 1]
+    u, v = np.array(wspd_pairs(tree, 4.0 / eps)).reshape(-1, 2).T
+    diff = X[reps[u]] - X[reps[v]]
+    return np.unique(np.sqrt((diff * diff).sum(axis=1)))

@@ -57,8 +57,8 @@ def test_tracer_wraps_mfd_layers(bench, backend):
     assert tr.counts[(None, "mfd.gamma_rounds")] == res.n_mwu_rounds
     assert tr.counts[(None, "mwu.round_selected")] == len(res.indices)
     if backend == "tree":
-        # One canonical query per point per candidate gamma.
-        assert tr.counts[(None, "kdtree.canonical_calls")] == len(X) * res.n_mwu_rounds
+        # One batched canonical query per candidate gamma.
+        assert tr.counts[(None, "kdtree.canonical_calls")] == res.n_mwu_rounds
 
     after = _bindings()
     assert after.keys() == before.keys()

@@ -32,6 +32,25 @@ def test_centers_are_distinct_and_valid(n, k, seed):
     assert idx.min() >= 0 and idx.max() < n
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_duplicate_rows_never_repicked(seed):
+    """With fewer distinct points than k, Gonzalez and the per-color
+    coreset still return k distinct rows (the duplicates at radius 0)."""
+    from repro.core.coreset import coreset_numpy
+
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(4, 2))[rng.integers(0, 4, size=30)]
+    colors = np.arange(30) % 2
+    order, radii = gonzalez_order(X, 12)
+    assert len(set(order.tolist())) == 12
+    assert np.all(radii[len(np.unique(X, axis=0)):] == 0.0)
+    sel, _ = coreset_numpy(X, colors, 10)
+    assert len(sel) == 20 and len(set(sel.tolist())) == 20
+    np.testing.assert_array_equal(
+        gonzalez_order(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), 3)[0], [0, 2, 1]
+    )
+
+
 def test_k_larger_than_n_truncates():
     X = _rand(4, 2, 0)
     assert len(gonzalez(X, 10)) == 4

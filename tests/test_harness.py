@@ -82,6 +82,44 @@ def test_jobs_import(monkeypatch):
         assert callable(importlib.import_module(path.stem).main), path.name
 
 
+_WORKER_IMPORT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import _session
+
+def task(batches):
+    import repro
+    for pdf in batches:
+        yield pdf.assign(ok=repro.__name__ == "repro")
+
+spark = _session.get_spark("worker-path")
+try:
+    print(spark.range(1).mapInPandas(task, "id long, ok boolean").collect()[0].ok)
+finally:
+    spark.stop()
+"""
+
+
+def test_job_session_puts_src_on_worker_path(tmp_path):
+    """A job started without PYTHONPATH can run a mapInPandas task that
+    imports repro: importing jobs/_session.py reaches Spark's Python
+    workers, not only the driver."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    jobs = pathlib.Path(__file__).resolve().parents[1] / "jobs"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYSPARK_SUBMIT_ARGS")}
+    env.update(SPARK_MASTER="local[1]", SPARK_DRIVER_MEM="1g")
+    out = subprocess.run(
+        [sys.executable, "-c", _WORKER_IMPORT_SCRIPT, str(jobs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip().splitlines()[-1] == "True"
+
+
 def test_sweep_with_spark_coreset(spark):
     records = sweep("popsim_1m", [6], ["MFD"], scale=0.002, repeats=1, spark=spark)
     assert len(records) == 1 and not records[0].dnf

@@ -28,28 +28,35 @@ def test_structure_invariants(n, d, seed):
             l, r = t.left[u], t.right[u]
             assert t.parent[l] == u and t.parent[r] == u
             assert t.size[u] == t.size[l] + t.size[r]
+            assert sorted(t.points_under(u)) == sorted([*t.points_under(l), *t.points_under(r)])
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 1.0])
 def test_canonical_cover_soundness(seed, eps):
-    """B(x,r) members covered exactly once; nothing beyond (1+eps)r."""
+    """One batched query over several points: for each, B(x,r) members
+    covered exactly once and nothing beyond (1+eps)r; at eps = 0 the
+    cover is exactly B(x,r)."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(60, 2))
     t = KDTree(X)
-    x = rng.normal(size=2)
+    Q = np.vstack([rng.normal(size=(4, 2)), X[:3]])
     r = float(rng.uniform(0.2, 1.5))
-    nodes = t.canonical_nodes(x, r, eps)
-    members = [t.points_under(u) for u in nodes]
-    flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
-    # Disjointness: no point reported twice.
-    assert len(flat) == len(set(flat.tolist()))
-    dists = np.linalg.norm(X - x, axis=1)
-    inside = set(np.where(dists <= r)[0].tolist())
-    reported = set(flat.tolist())
-    assert inside <= reported, "a point within r was not covered"
-    far = set(np.where(dists > (1 + eps) * r + 1e-9)[0].tolist())
-    assert not (reported & far), "a point beyond (1+eps)r was reported"
+    pairs = t.canonical_nodes(Q, r, eps)
+    assert pairs.shape[1] == 2 and np.all(np.diff(pairs[:, 0]) >= 0)
+    for i, x in enumerate(Q):
+        members = [t.points_under(u) for u in pairs[pairs[:, 0] == i, 1]]
+        flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+        # Disjointness: no point reported twice.
+        assert len(flat) == len(set(flat.tolist()))
+        dists = np.linalg.norm(X - x, axis=1)
+        inside = set(np.where(dists <= r)[0].tolist())
+        reported = set(flat.tolist())
+        assert inside <= reported, "a point within r was not covered"
+        far = set(np.where(dists > (1 + eps) * r + 1e-9)[0].tolist())
+        assert not (reported & far), "a point beyond (1+eps)r was reported"
+        if eps == 0.0:
+            assert reported == inside
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -95,9 +102,15 @@ def test_fuzzy_ball_members_matches_nodes():
     X = _rand(50, 2, 7)
     t = KDTree(X)
     x = X[3]
-    got = set(t.fuzzy_ball_members(x, 0.8, 0.5).tolist())
+    got = t.fuzzy_ball_members(x, 0.8, 0.5)
+    nodes = t.canonical_nodes(x[None], 0.8, 0.5)[:, 1]
+    assert got.tolist() == np.concatenate([t.points_under(u) for u in nodes]).tolist()
     dists = np.linalg.norm(X - x, axis=1)
-    assert set(np.where(dists <= 0.8)[0].tolist()) <= got
-    assert got <= set(np.where(dists <= 1.2 * 0.8 * 1.5 + 1e-9)[0].tolist()) or got <= set(
-        np.where(dists <= (1 + 0.5) * 0.8 + 1e-9)[0].tolist()
-    )
+    assert set(np.where(dists <= 0.8)[0].tolist()) <= set(got.tolist())
+    assert np.all(dists[got] <= (1 + 0.5) * 0.8 + 1e-9)
+
+
+def test_negative_fuzz_rejected():
+    t = KDTree(_rand(10, 2, 0))
+    with pytest.raises(ValueError):
+        t.canonical_nodes(np.zeros((1, 2)), 1.0, -0.5)

@@ -22,7 +22,7 @@ def test_rect_canonical_cover_exact(seed):
     t = KDTree(X)
     lo, hi = np.array([-2.0, -3.0]), np.array([3.0, 2.0])
     nodes = t.canonical_nodes_rect(lo, hi)
-    got = sorted(np.concatenate([t.points_under(u) for u in nodes]).tolist()) if nodes else []
+    got = sorted(np.concatenate([t.points_under(u) for u in nodes]).tolist()) if len(nodes) else []
     want = sorted(
         np.where(np.all(X >= lo, axis=1) & np.all(X <= hi, axis=1))[0].tolist()
     )
