@@ -26,6 +26,42 @@ def pairwise_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray
     return np.sqrt(sq)
 
 
+# Distance cells per row block of :func:`pairs_within`: large enough for
+# one efficient matrix product per block, small enough to keep memory at
+# O(nnz + n) rather than O(n^2).
+_BLOCK_CELLS = 1 << 18
+
+
+def pairs_within(X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``(i, j)`` with ``||x_i - x_j|| <= r``, as two
+    arrays sorted by (i, j): ``np.nonzero(pairwise_distances(X) <= r)``
+    without the n×n matrix.
+
+    Each row block ``[s, e)`` is measured against rows ``s:`` only (the
+    upper triangle, diagonal block included) and its pairs beyond the
+    diagonal block are mirrored. :func:`pairwise_distances` is bitwise
+    symmetric and its row blocks equal the full matrix's rows, so the
+    pairs are exactly the full matrix's.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    keys = [np.empty(0, dtype=np.int64)]
+    s = 0
+    while s < n:
+        e = min(n, s + max(1, _BLOCK_CELLS // (n - s)))
+        i, j = np.nonzero(pairwise_distances(X[s:e], X[s:]) <= r)
+        i += s
+        j += s
+        off = j >= e
+        keys += [i * n + j, j[off] * n + i[off]]
+        s = e
+    key = np.concatenate(keys)
+    key.sort()
+    i = key // max(n, 1)
+    key %= max(n, 1)
+    return i, key
+
+
 def dists_to_point(X: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Euclidean distance from every row of ``X`` to the single point ``p``."""
     diff = np.asarray(X, dtype=np.float64) - np.asarray(p, dtype=np.float64)[None, :]

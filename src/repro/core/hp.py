@@ -16,9 +16,11 @@ the points within r_reject of an earlier pick, through its cached ball
 incidence.
 
 The paper implements the transform with one BBD tree per color and
-active/inactive node bookkeeping; at coreset scale we use the dense
+active/inactive node bookkeeping; at coreset scale we use the exact-ball
 equivalent (greedy absorption of same-color weight within the
-separation radius), which computes exactly the same y_hat semantics:
+separation radius, each point's neighbors read from
+:func:`repro.core.geometry.pairs_within`), which computes exactly the
+same y_hat semantics:
 per-color weight totals are preserved and positive entries are
 separated. Approximation drops to gamma*/(6(1+eps)) as in Theorem 3.3.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mwu
-from .geometry import color_counts, pairwise_distances
+from .geometry import color_counts, pairs_within
 from .mfd import MFDResult, certify_and_round
 
 
@@ -46,13 +48,16 @@ def transform_to_separated(
         idx = np.flatnonzero((colors == j) & (xhat > 0))
         # Process in decreasing weight so heavy points become reps.
         order = idx[np.argsort(-xhat[idx])]
-        near = pairwise_distances(X[order]) <= r_sep
+        # near[ptr[t]:ptr[t+1]] lists, ascending, the points within r_sep of t.
+        src, near = pairs_within(X[order], r_sep)
+        ptr = np.searchsorted(src, np.arange(len(order) + 1))
         alive = np.ones(len(order), dtype=bool)
         for t in range(len(order)):
             if alive[t]:
-                absorbed = alive & near[t]
+                nb = near[ptr[t] : ptr[t + 1]]
+                absorbed = nb[alive[nb]]
                 yhat[order[t]] = xhat[order[absorbed]].sum()
-                alive &= ~absorbed
+                alive[absorbed] = False
     return yhat
 
 

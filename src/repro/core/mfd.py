@@ -75,7 +75,8 @@ def certify_and_round(
     backend: str = "dense",
 ) -> MFDResult:
     """Algorithm 1: validate the input (finite coordinates, color ids in
-    [0, m), quotas the colors can meet; ``ValueError`` otherwise), search
+    [0, m), quotas the colors can meet, a finite ``eps`` > 0, a known
+    ``backend`` and ``gamma_schedule``; ``ValueError`` otherwise), search
     for the largest gamma whose LP2 MWU certifies feasible (WSPD binary
     search, or geometric decay from :func:`gamma_upper_bound` to a floor
     of 1e-12 times it, at most ~170 rounds), and round its x_hat with
@@ -84,6 +85,12 @@ def certify_and_round(
     has fewer than k distinct locations: the upper bound is then 0 and
     every fair set is optimal.
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0; got {eps}")
+    if backend not in ("dense", "tree"):
+        raise ValueError(f"backend must be 'dense' or 'tree'; got {backend!r}")
+    if gamma_schedule not in ("geometric", "wspd"):
+        raise ValueError(f"gamma_schedule must be 'geometric' or 'wspd'; got {gamma_schedule!r}")
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
     quotas = np.asarray(quotas, dtype=np.int64)

@@ -11,7 +11,9 @@ nodes. Only the build depends on the neighborhood kind:
 
 - exact balls (``MWUProblem.tree is None``): the nodes are the points, B
   is the ball matrix (the ball of radius gamma/(2(1+eps)) is a *valid*
-  S^eps_p with zero fuzz) and P is the identity;
+  S^eps_p with zero fuzz) and P is the identity. B's pairs come from
+  :func:`repro.core.geometry.pairs_within`, which measures symmetric row
+  blocks and never holds the n×n distance matrix: O(nnz + n) memory;
 - tree covers: B lists each point's canonical nodes of the BBD-style
   query ``T(p, gamma/(2(1+eps)))``, all n queries answered by one batched
   :meth:`KDTree.canonical_nodes` call, and P each point's leaf→root
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import pairwise_distances
+from .geometry import pairs_within
 from .kdtree import KDTree
 
 
@@ -93,7 +95,7 @@ class MWUProblem:
         :func:`lp2_violation`."""
         n = len(self.X)
         if self.tree is None:
-            cover_pt, cover_node = np.nonzero(pairwise_distances(self.X) <= self.radius)
+            cover_pt, cover_node = pairs_within(self.X, self.radius)
             ident = np.arange(n)
             return Incidence(n, n, cover_pt, cover_node, ident, ident)
         cover_pt, cover_node = self.tree.canonical_nodes(self.X, self.radius, self.eps).T.copy()

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core import geometry as G
+from repro.core.exact import ball_matrix
 
 
 def _rand(n, d, seed):
@@ -24,6 +25,55 @@ def test_pairwise_rectangular(seed):
     D = G.pairwise_distances(X, Y)
     assert D.shape == (10, 6)
     assert D[3, 4] == pytest.approx(np.linalg.norm(X[3] - Y[4]))
+
+
+def _assert_pairs_match_ball_matrix(X, r):
+    """pairs_within gives np.nonzero of the full ball matrix: the same
+    arrays, dtype and order."""
+    got, want = G.pairs_within(X, r), np.nonzero(ball_matrix(X, r))
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    return got
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("r", [0.0, 0.5, 10.0])
+def test_pairs_within_tiny(n, r):
+    _assert_pairs_match_ball_matrix(_rand(n, 3, n), r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairs_within_spans_several_blocks(seed):
+    """n^2 is several times the per-block cell budget, so the rows come
+    from several blocks of different heights, with mirrored pairs."""
+    n = 1500
+    assert n * n > 4 * G._BLOCK_CELLS
+    X = _rand(n, 4, seed)
+    r = float(np.quantile(G.pairwise_distances(X[:200]), 0.02))
+    i, j = _assert_pairs_match_ball_matrix(X, r)
+    assert len(i) > 2 * n  # not just the diagonal
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.5])
+def test_pairs_within_duplicate_rows(r):
+    """Integer coordinates keep the distances exact: at r = 0 the pairs
+    are exactly the rows at the same location."""
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 4, size=(300, 2)).astype(float)
+    i, j = _assert_pairs_match_ball_matrix(X, r)
+    if r == 0.0:
+        same = (X[:, None, :] == X[None, :, :]).all(axis=2)
+        assert np.array_equal(np.stack([i, j]), np.stack(np.nonzero(same)))
+
+
+def test_pairs_within_includes_pair_at_exactly_r():
+    X = np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 10.0]])
+    i, j = _assert_pairs_match_ball_matrix(X, 5.0)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+    i, j = _assert_pairs_match_ball_matrix(X, np.nextafter(5.0, 0.0))
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 0), (1, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -174,3 +174,32 @@ def test_bad_input_raises_value_error(bad, solver):
     }[solver]
     with pytest.raises(ValueError, match="non-finite|color ids"):
         run()
+
+
+@pytest.mark.parametrize("backend", ["dense", "tree"])
+@pytest.mark.parametrize(
+    "bad", ["eps_zero", "eps_negative", "eps_nan", "eps_inf", "schedule_typo", "schedule_case"]
+)
+def test_bad_solver_argument_raises_value_error(bad, backend):
+    """A degenerate eps or an unknown gamma schedule is rejected up front
+    with one ValueError, not a ZeroDivisionError deep in MWU, a silent
+    result, or a silent fallback to the default schedule."""
+    kwargs, match = {
+        "eps_zero": (dict(eps=0.0), "eps must be finite and > 0"),
+        "eps_negative": (dict(eps=-0.5), "eps must be finite and > 0"),
+        "eps_nan": (dict(eps=np.nan), "eps must be finite and > 0"),
+        "eps_inf": (dict(eps=np.inf), "eps must be finite and > 0"),
+        "schedule_typo": (dict(gamma_schedule="wpsd"), "gamma_schedule must be"),
+        "schedule_case": (dict(gamma_schedule="Geometric"), "gamma_schedule must be"),
+    }[bad]
+    X, colors = _instance(40, 2, 2, seed=0)
+    with pytest.raises(ValueError, match=match):
+        mfd(X, colors, np.array([2, 2]), backend=backend, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("backend", ["Dense", "trees", "kdtree", ""])
+def test_unknown_backend_raises_value_error(backend):
+    """A mistyped backend does not silently run the dense one."""
+    X, colors = _instance(40, 2, 2, seed=0)
+    with pytest.raises(ValueError, match="backend must be 'dense' or 'tree'"):
+        mfd(X, colors, np.array([2, 2]), backend=backend, seed=0)

@@ -1,5 +1,7 @@
 """MWU Oracle / Update / Round over both neighborhood kinds, vs
 brute-force references."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,23 @@ def test_incidence_matches_neighborhood_matrix(kind, seed):
         assert sorted(covered.tolist()) == np.flatnonzero(A[i]).tolist()
         holding = [u for u in range(n_nodes) if i in under(u)]
         assert sorted(prob.incidence.members(i).tolist()) == holding
+
+
+def test_dense_incidence_builds_without_an_n_by_n_matrix():
+    """The exact-ball build's peak traced memory is far below one n×n
+    float64 matrix (n^2 * 8 bytes = 72 MB at n = 3,000)."""
+    n = 3000
+    X, colors = _instance(n=n, d=6, seed=0)
+    prob = mwu.MWUProblem(X, colors, np.array([1, 1, 1]), gamma=12.0, eps=1.0)
+    tracemalloc.start()
+    try:
+        inc = prob.incidence
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inc.cover_pt) > 2 * n  # not just the diagonal
+    full = n * n * 8  # bytes of one n×n float64 matrix
+    assert peak < full / 8
 
 
 @pytest.mark.parametrize("seed", range(4))
