@@ -52,7 +52,11 @@ class SFDM2:
         self.n_seen = 0
 
     def insert(self, p: np.ndarray, color: int) -> None:
-        """One streaming arrival: O(|M| * k) distance work."""
+        """One streaming arrival: O(|M| * k) distance work. Raises
+        ``ValueError`` for a color id outside ``[0, m)``."""
+        color = int(color)
+        if not 0 <= color < self.m:
+            raise ValueError(f"color id must lie in [0, {self.m}); got {color}")
         self.n_seen += 1
         p = np.asarray(p, dtype=np.float64)
         for t, mu in enumerate(self.mus):

@@ -107,9 +107,7 @@ def coreset_numpy(
     return sel, np.asarray(colors)[sel]
 
 
-def coreset_arrays(
-    df: DataFrame, per_color_k: int, *, color_col: str = "color"
-) -> tuple[np.ndarray, np.ndarray]:
+def coreset_arrays(df: DataFrame, per_color_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Distributed per-color coreset as (X, colors) numpy arrays.
 
     One Spark job: the rows are coalesced to one partition per task slot
@@ -118,7 +116,7 @@ def coreset_arrays(
     merged on the driver by :func:`coreset_numpy` again.
     """
     feats = feature_columns(df)
-    work = df.select(*feats, color_col)
+    work = df.select(*feats, "color")
 
     def local(batches):
         skip_unchanged_zip_rereads()
@@ -127,7 +125,7 @@ def coreset_arrays(
             pdf = pd.concat(parts, ignore_index=True)
             sel, _ = coreset_numpy(
                 pdf[feats].to_numpy(dtype=np.float64),
-                pdf[color_col].to_numpy(dtype=np.int64),
+                pdf["color"].to_numpy(dtype=np.int64),
                 per_color_k,
             )
             yield pdf.iloc[sel]
@@ -135,7 +133,7 @@ def coreset_arrays(
     slots = df.sparkSession.sparkContext.defaultParallelism
     pdf = work.coalesce(slots).mapInPandas(local, schema=work.schema).toPandas()
     X = pdf[feats].to_numpy(dtype=np.float64)
-    sel, colors = coreset_numpy(X, pdf[color_col].to_numpy(dtype=np.int64), per_color_k)
+    sel, colors = coreset_numpy(X, pdf["color"].to_numpy(dtype=np.int64), per_color_k)
     return X[sel], colors
 
 

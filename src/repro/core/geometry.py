@@ -99,12 +99,6 @@ def missed_per_color(colors: np.ndarray, quotas: np.ndarray) -> np.ndarray:
     return np.maximum(0, quotas - color_counts(colors, len(quotas)))
 
 
-def bounding_box(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) corners of the axis-aligned bounding box of ``X``."""
-    X = np.asarray(X, dtype=np.float64)
-    return X.min(axis=0), X.max(axis=0)
-
-
 def equal_quotas(k: int, m: int) -> np.ndarray:
     """Paper's "equal k_j" split: k_j = k/m, remainder spread over the
     first ``k mod m`` colors so that sum k_j == k exactly."""

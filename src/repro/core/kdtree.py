@@ -22,6 +22,11 @@ height O(log n) via stable median splits on the widest dimension. Every
 node owns a contiguous slice of one point permutation, ``order``, with
 its right child's slice before its left child's.
 
+The build and every query are level-synchronous loops over numpy arrays.
+The build makes one pass per tree level: one ``np.minimum.reduceat`` and
+``np.maximum.reduceat`` give every frontier node's tight box, one stable
+``np.lexsort`` keyed by (node, split coordinate) sorts every node's slice,
+and the children's preorder ids, starts and sizes follow arithmetically.
 Every query is one walk (:meth:`KDTree._walk`): level by level, over all
 (query, node) pairs at once, pairs whose node the query prunes drop out,
 pairs whose node it accepts are reported, and every other pair moves to
@@ -57,30 +62,37 @@ class KDTree:
         self.start = np.empty(self.n_nodes, dtype=np.int64)
         self.size = np.empty(self.n_nodes, dtype=np.int64)
         self.order = np.arange(n, dtype=np.int64)
-        self._build(0, 0, n, -1)
-
-    def _build(self, node: int, start: int, size: int, parent: int) -> None:
-        idx = self.order[start : start + size]
-        pts = self.X[idx]
-        self.lo[node] = pts.min(axis=0)
-        self.hi[node] = pts.max(axis=0)
-        self.parent[node], self.start[node], self.size[node] = parent, start, size
-        if size == 1:
-            self.leaf_point[node] = idx[0]
-            self.point_leaf[idx[0]] = node
-            return
-        dim = int(np.argmax(self.hi[node] - self.lo[node]))
-        srt = idx[np.argsort(pts[:, dim], kind="stable")]
-        mid = size // 2
-        # The right child's slice comes first. Any fixed layout is a valid
-        # tree; this one fixes the row each node's slice starts with (where
-        # QFairDiv starts its per-node Gonzalez) and the order in which
-        # MWU's Update sums a point's cover nodes.
-        idx[:] = np.concatenate([srt[mid:], srt[:mid]])
-        # Preorder ids: the left subtree's 2*mid - 1 nodes come first.
-        self.left[node], self.right[node] = node + 1, node + 2 * mid
-        self._build(node + 1, start + size - mid, mid, node)
-        self._build(node + 2 * mid, start, size - mid, node)
+        # One tree level per pass: every frontier node's slice of ``order``
+        # is gathered into one array, segment by segment.
+        node, start, size = np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, n)
+        while len(node):
+            self.start[node], self.size[node] = start, size
+            offs = np.cumsum(size) - size
+            seg = np.repeat(np.arange(len(node)), size)
+            rank = np.arange(len(seg)) - offs[seg]
+            idx = self.order[start[seg] + rank]
+            pts = X[idx]
+            lo = self.lo[node] = np.minimum.reduceat(pts, offs)
+            hi = self.hi[node] = np.maximum.reduceat(pts, offs)
+            leaf = size == 1
+            self.leaf_point[node[leaf]] = idx[offs[leaf]]
+            self.point_leaf[idx[offs[leaf]]] = node[leaf]
+            # Stable sort of every slice along its node's widest dimension.
+            dim = np.argmax(hi - lo, axis=1)
+            srt = np.lexsort((pts[np.arange(len(seg)), dim[seg]], seg))
+            mid = size // 2
+            # The right child's slice comes first. Any fixed layout is a
+            # valid tree; this one fixes the row each node's slice starts
+            # with (where QFairDiv starts its per-node Gonzalez) and the
+            # order in which MWU's Update sums a point's cover nodes.
+            self.order[start[seg] + (rank - mid[seg]) % size[seg]] = idx[srt]
+            # Preorder ids: the left subtree's 2*mid - 1 nodes come first.
+            node, start, size, mid = node[~leaf], start[~leaf], size[~leaf], mid[~leaf]
+            self.left[node], self.right[node] = node + 1, node + 2 * mid
+            self.parent[node + 1] = self.parent[node + 2 * mid] = node
+            node = np.concatenate([node + 1, node + 2 * mid])
+            start = np.concatenate([start + size - mid, start])
+            size = np.concatenate([mid, size - mid])
 
     def _walk(self, n_queries: int, test) -> np.ndarray:
         """``(P, 2)`` array of the (query, node) pairs reported by one

@@ -207,7 +207,6 @@ def mfd_spark(
     df,
     quotas: np.ndarray,
     *,
-    color_col: str = "color",
     per_color_k: int | None = None,
     **mfd_kwargs,
 ) -> MFDResult:
@@ -221,7 +220,7 @@ def mfd_spark(
 
     k = int(np.sum(quotas))
     t0 = time.perf_counter()
-    Xc, cc = coreset_arrays(df, per_color_k or k, color_col=color_col)
+    Xc, cc = coreset_arrays(df, per_color_k or k)
     t1 = time.perf_counter()
     res = solve_coreset(Xc, cc, quotas, **mfd_kwargs)
     res.extras["timings"] = {"coreset_s": t1 - t0, "solve_s": time.perf_counter() - t1}

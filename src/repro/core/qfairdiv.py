@@ -32,9 +32,13 @@ class QFairDivIndex:
     """Preprocessed structure answering fair-diverse range queries."""
 
     def __init__(self, X: np.ndarray, colors: np.ndarray, *, k_max: int = 64):
+        """Index the rows of ``X`` by color; there are m = max(colors) + 1
+        colors, and a negative color id raises ``ValueError``."""
         self.X = np.asarray(X, dtype=np.float64)
         self.colors = np.asarray(colors, dtype=np.int64)
         self.m = int(self.colors.max()) + 1
+        if self.colors.min() < 0:
+            raise ValueError(f"color ids must lie in [0, {self.m}); got {self.colors.min()}")
         self.k_max = int(k_max)
         self.trees: list[KDTree | None] = []
         self.node_orders: list[list[np.ndarray]] = []

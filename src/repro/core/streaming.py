@@ -76,9 +76,13 @@ class StreamMFD:
         self.n_seen = 0
 
     def insert(self, p: np.ndarray, color: int) -> None:
-        """O(k) update (Theorem 5.1)."""
+        """O(k) update (Theorem 5.1). Raises ``ValueError`` for a color id
+        outside ``[0, m)``."""
+        color = int(color)
+        if not 0 <= color < self.m:
+            raise ValueError(f"color id must lie in [0, {self.m}); got {color}")
         self.n_seen += 1
-        self.instances[int(color)].insert(p)
+        self.instances[color].insert(p)
 
     def stored_items(self) -> int:
         """Synopsis size: O(m k), independent of the spread."""
@@ -122,35 +126,3 @@ def feed(inst, X: np.ndarray, colors: np.ndarray, *, deadline: float = np.inf) -
             return False
     return True
 
-
-def stream_partitioned_synopsis(df, per_color_k: int, *, color_col: str = "color"):
-    """Distributed variant: each Spark partition runs its own per-color
-    doubling synopsis over its slice of the stream, fed every Arrow batch
-    of the partition in row order, and the partial synopses are merged on
-    the driver by a final per-color Gonzalez — the composable-coreset
-    argument (Theorem 4.2) again. Returns (X, colors) of the merged O(mk)
-    synopsis."""
-    import pandas as pd
-
-    from .coreset import coreset_numpy, feature_columns, skip_unchanged_zip_rereads
-
-    feats = feature_columns(df)
-    m_holder = df.selectExpr(f"max({color_col}) as mx").collect()[0].mx + 1
-    schema = df.select(*feats, color_col).schema
-
-    def per_partition(batches):
-        skip_unchanged_zip_rereads()
-        sm = StreamMFD(len(feats), m_holder, per_color_k)
-        for pdf in batches:
-            feed(sm, pdf[feats].to_numpy(dtype=np.float64),
-                 pdf[color_col].to_numpy(dtype=np.int64))
-        Xs, cs = sm.synopsis()
-        out = pd.DataFrame(Xs, columns=feats)
-        out[color_col] = cs
-        yield out
-
-    partial = df.select(*feats, color_col).mapInPandas(per_partition, schema=schema)
-    pdf = partial.toPandas()
-    X = pdf[feats].to_numpy(dtype=np.float64)
-    sel, colors = coreset_numpy(X, pdf[color_col].to_numpy(dtype=np.int64), per_color_k)
-    return X[sel], colors

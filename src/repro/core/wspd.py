@@ -7,60 +7,45 @@ searching Gamma loses at most a (1+eps) factor on gamma*.
 
 The classic construction runs on a fair-split tree; our balanced KD-tree
 (tight boxes, widest-dimension median splits) is a fair-split-style tree
-and yields the standard O(s^d n) pair bound in practice. Each node's
-representative point is read off its slice of the tree's point
-permutation, and every pair's representative distance is one numpy
-step. The practical MFD path (paper Section 6) replaces the WSPD with a
-geometric-decay schedule; this module backs the theory-faithful path and
-its tests.
+and yields the standard O(s^d n) pair bound in practice. The pairs come
+from one level-synchronous loop over (u, v) node pairs, the idiom of the
+tree's own build and queries; each node's representative point is read
+off its slice of the tree's point permutation, and every pair's
+representative distance is one numpy step. The practical MFD path
+(paper Section 6) replaces the WSPD with a geometric-decay schedule;
+this module backs the theory-faithful path and its tests.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .kdtree import KDTree
+from .kdtree import KDTree, _norm
 
 
-def _diam(tree: KDTree, u: int) -> float:
-    d = tree.hi[u] - tree.lo[u]
-    return float(np.sqrt((d * d).sum()))
-
-
-def _box_dist(tree: KDTree, u: int, v: int) -> float:
-    gap = np.maximum(tree.lo[u] - tree.hi[v], 0.0) + np.maximum(
-        tree.lo[v] - tree.hi[u], 0.0
-    )
-    return float(np.sqrt((gap * gap).sum()))
-
-
-def wspd_pairs(tree: KDTree, s: float) -> list[tuple[int, int]]:
-    """All s-well-separated node pairs (u, v) of the tree.
-
-    (u, v) is s-well-separated when the boxes fit in balls of radius
+def wspd_pairs(tree: KDTree, s: float) -> np.ndarray:
+    """All s-well-separated node pairs (u, v) of the tree, as a ``(P, 2)``
+    array: (u, v) is s-well-separated when the boxes fit in balls of radius
     rho = max(diam)/2 whose gap is at least s * rho.
+
+    The walk starts from every internal node's two children. Per level,
+    every pair that passes the test is reported, and every other pair is
+    replaced by the larger box's two children, each paired with the
+    smaller box. The larger box is never a leaf: a leaf has diameter 0,
+    which passes the test.
     """
-    pairs: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = []
-
-    def push(u: int, v: int) -> None:
-        stack.append((u, v))
-
-    for node in range(tree.n_nodes):
-        if tree.leaf_point[node] < 0:
-            push(tree.left[node], tree.right[node])
-    while stack:
-        u, v = stack.pop()
-        rho = max(_diam(tree, u), _diam(tree, v)) / 2.0
-        if _box_dist(tree, u, v) >= s * rho:
-            pairs.append((u, v))
-            continue
-        if _diam(tree, u) < _diam(tree, v):
-            u, v = v, u
-        # u is the larger box; it cannot be a leaf here because a leaf has
-        # diameter 0, which would have satisfied the separation test.
-        push(tree.left[u], v)
-        push(tree.right[u], v)
-    return pairs
+    diam = _norm(tree.hi - tree.lo)
+    inner = np.flatnonzero(tree.leaf_point < 0)
+    u, v = tree.left[inner], tree.right[inner]
+    found = [np.empty((0, 2), dtype=np.int64)]
+    while len(u):
+        gap = np.maximum(tree.lo[u] - tree.hi[v], 0.0) + np.maximum(tree.lo[v] - tree.hi[u], 0.0)
+        sep = _norm(gap) >= s * (np.maximum(diam[u], diam[v]) / 2.0)
+        found.append(np.column_stack([u[sep], v[sep]]))
+        u, v = u[~sep], v[~sep]
+        swap = diam[u] < diam[v]
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        u, v = np.column_stack([tree.left[u], tree.right[u]]).ravel(), np.repeat(v, 2)
+    return np.concatenate(found)
 
 
 def candidate_distances(X: np.ndarray, eps: float) -> np.ndarray:
@@ -76,6 +61,6 @@ def candidate_distances(X: np.ndarray, eps: float) -> np.ndarray:
     # Representative of a node: any point in its subtree; here its leftmost
     # leaf, the last entry of the node's slice of ``tree.order``.
     reps = tree.order[tree.start + tree.size - 1]
-    u, v = np.array(wspd_pairs(tree, 4.0 / eps)).reshape(-1, 2).T
+    u, v = wspd_pairs(tree, 4.0 / eps).T
     diff = X[reps[u]] - X[reps[v]]
-    return np.unique(np.sqrt((diff * diff).sum(axis=1)))
+    return np.unique(_norm(diff))

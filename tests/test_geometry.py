@@ -126,10 +126,3 @@ def test_proportional_quotas(k, seed):
     # Proportionality: big colors get more.
     assert q[0] >= q[1] >= q[2] - 1
     assert np.all(q <= counts)
-
-
-def test_bounding_box():
-    X = np.array([[0.0, 5.0], [2.0, -1.0], [1.0, 1.0]])
-    lo, hi = G.bounding_box(X)
-    np.testing.assert_allclose(lo, [0, -1])
-    np.testing.assert_allclose(hi, [2, 5])

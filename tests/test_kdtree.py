@@ -31,6 +31,56 @@ def test_structure_invariants(n, d, seed):
             assert sorted(t.points_under(u)) == sorted([*t.points_under(l), *t.points_under(r)])
 
 
+def _reference_layout(X):
+    """The tree layout, built by recursion: preorder node ids, tight boxes,
+    a stable median split on the widest dimension (first on ties), and the
+    right child's slice of ``order`` before the left child's."""
+    n = len(X)
+    a = {k: np.full(2 * n - 1, -1, dtype=np.int64)
+         for k in ("start", "size", "left", "right", "parent", "leaf_point")}
+    a["lo"], a["hi"] = np.empty((2 * n - 1, X.shape[1])), np.empty((2 * n - 1, X.shape[1]))
+    a["order"], a["point_leaf"] = np.arange(n), np.empty(n, dtype=np.int64)
+
+    def build(node, start, size, parent):
+        idx = a["order"][start : start + size]
+        a["lo"][node], a["hi"][node] = X[idx].min(axis=0), X[idx].max(axis=0)
+        a["start"][node], a["size"][node], a["parent"][node] = start, size, parent
+        if size == 1:
+            a["leaf_point"][node], a["point_leaf"][idx[0]] = idx[0], node
+            return
+        dim = int(np.argmax(a["hi"][node] - a["lo"][node]))
+        srt = idx[np.argsort(X[idx, dim], kind="stable")]
+        mid = size // 2
+        idx[:] = np.concatenate([srt[mid:], srt[:mid]])
+        a["left"][node], a["right"][node] = node + 1, node + 2 * mid
+        build(node + 1, start + size - mid, mid, node)
+        build(node + 2 * mid, start, size - mid, node)
+
+    build(0, 0, n, -1)
+    return a
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n3", "n80", "d1", "ties", "duplicates"])
+def test_layout_matches_recursive_reference(case):
+    """Every node array equals the recursive reference's. The layout fixes
+    where QFairDiv starts each node's Gonzalez and the order in which MWU's
+    Update sums a point's cover nodes."""
+    rng = np.random.default_rng(11)
+    X = {
+        "n1": rng.normal(size=(1, 2)),
+        "n2": rng.normal(size=(2, 2)),
+        "n3": rng.normal(size=(3, 3)),
+        "n80": rng.normal(size=(80, 2)),
+        "d1": rng.normal(size=(41, 1)),
+        "ties": np.round(rng.normal(size=(90, 2)), 0),
+        "duplicates": np.vstack([np.tile([[1.0, 2.0]], (9, 1)), rng.normal(size=(12, 2)),
+                                 np.tile([[0.5, -1.0]], (6, 1))]),
+    }[case]
+    t = KDTree(X)
+    for name, want in _reference_layout(X).items():
+        np.testing.assert_array_equal(getattr(t, name), want, err_msg=name)
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 1.0])
 def test_canonical_cover_soundness(seed, eps):

@@ -81,3 +81,12 @@ def test_query_range_without_a_color_misses_its_quota():
     assert res.extras["held"][1] == 0
     assert res.missed[1] == 2
     assert res.missed[0] == max(0, 2 - np.sum(res.colors == 0))
+
+
+def test_negative_color_rejected():
+    """A negative color id raises ValueError instead of being left out of
+    the index."""
+    X, colors = _instance(50, 2, 0)
+    colors[5] = -1
+    with pytest.raises(ValueError):
+        QFairDivIndex(X, colors)

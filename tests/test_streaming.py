@@ -1,4 +1,4 @@
-"""Streaming: doubling algorithm, StreamMFD, SFDM-2, partitioned synopsis."""
+"""Streaming: doubling algorithm, StreamMFD, SFDM-2."""
 import numpy as np
 import pytest
 
@@ -129,38 +129,24 @@ def test_feed_stops_at_deadline():
     assert sm.n_seen == 3000
 
 
-def test_partitioned_synopsis_matches_serial_quality(spark):
-    from repro.core.coreset import to_spark_points
-    from repro.core.streaming import stream_partitioned_synopsis
-
-    X, colors = _stream(3000, 2, 2, 19)
-    df = to_spark_points(spark, X, colors, n_partitions=6)
-    Xs, cs = stream_partitioned_synopsis(df, per_color_k=8)
-    assert len(Xs) <= 2 * 8
-    for j in range(2):
-        pts = X[colors == j]
-        r_par = pairwise_distances(pts, Xs[cs == j]).min(axis=1).max()
-        r_ser = gonzalez_radius(pts, gonzalez(pts, 8))
-        assert r_par <= 24 * r_ser + 1e-9  # composable constant factor
+@pytest.mark.parametrize("color", [-1, 2])
+def test_streammfd_rejects_out_of_range_color(color):
+    """A color id outside [0, m) raises ValueError and stores nothing
+    (-1 used to land in the last color's synopsis)."""
+    sm = StreamMFD(2, 2, per_color_k=4)
+    with pytest.raises(ValueError):
+        sm.insert(np.zeros(2), color)
+    assert sm.n_seen == 0 and sm.stored_items() == 0
 
 
-def test_partitioned_synopsis_one_synopsis_per_partition(spark):
-    """A partition longer than one Arrow batch (10,000 rows by default)
-    still streams into one synopsis: on a single partition the result is,
-    as a set, the synopsis of a serial StreamMFD fed in row order."""
-    from repro.core.coreset import to_spark_points
-    from repro.core.streaming import stream_partitioned_synopsis
-
-    X, colors = _stream(12_000, 2, 2, 31)
-    df = to_spark_points(spark, X, colors).coalesce(1)  # coalesce keeps row order
-    Xs, cs = stream_partitioned_synopsis(df, per_color_k=8)
-    sm = StreamMFD(2, 2, per_color_k=8)
-    feed(sm, X, colors)
-    Xr, cr = sm.synopsis()
-    assert {(*p, c) for p, c in zip(Xs.tolist(), cs.tolist())} == {
-        (*p, c) for p, c in zip(Xr.tolist(), cr.tolist())
-    }
-    assert len(Xs) == len(Xr)
+@pytest.mark.parametrize("color", [-1, 2])
+def test_sfdm2_rejects_out_of_range_color(color):
+    """A color id outside [0, m) raises ValueError and stores nothing
+    (-1 used to fill the last color's buffers)."""
+    algo = SFDM2(2, np.array([1, 1]), eps=0.5, d_min=0.1, d_max=10.0)
+    with pytest.raises(ValueError):
+        algo.insert(np.zeros(2), color)
+    assert algo.n_seen == 0 and algo.stored_items() == 0
 
 
 def test_streammfd_synopsis_shortfall_reported_against_requested_quotas():
