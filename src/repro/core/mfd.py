@@ -80,10 +80,19 @@ def certify_and_round(
     for the largest gamma whose LP2 MWU certifies feasible (WSPD binary
     search, or geometric decay from :func:`gamma_upper_bound` to a floor
     of 1e-12 times it, at most ~170 rounds), and round its x_hat with
-    ``rounding(prob, xhat) -> (indices, extras)``. If no gamma is certified, the result is a fair set (the
-    first k_j rows of each color) with gamma 0. That is always so when X
-    has fewer than k distinct locations: the upper bound is then 0 and
-    every fair set is optimal.
+    ``rounding(prob, xhat) -> (indices, extras)``. If no gamma is
+    certified, the result is a fair set (the first k_j rows of each color)
+    with gamma 0. That is always so when X has fewer than k distinct
+    locations: the upper bound is then 0 and every fair set is optimal. An
+    empty X (all quotas 0) gives the empty set, with no gamma tried.
+
+    ``extras`` also gets ``timings`` (wall seconds: ``gamma_bound_s``, the
+    upper bound or WSPD candidates; ``incidence_s`` and ``mwu_s``, the
+    neighborhood builds and the MWU loops summed over the gamma rounds;
+    ``round_s``) and ``counters`` (``gamma_rounds``; ``mwu_iterations``,
+    T per round; and for the certified gamma ``incidence_pairs``, B's
+    (point, node) pairs, and ``update``, the Update read, ``"gather"`` or
+    ``"rows"``: 0 and None if no gamma was certified).
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0; got {eps}")
@@ -100,17 +109,27 @@ def certify_and_round(
     if np.any(counts < quotas):
         raise ValueError(f"infeasible quotas: need {quotas.tolist()}, have {counts.tolist()}")
 
-    tree = KDTree(X) if backend == "tree" else None
+    k = int(quotas.sum())
+    timings = dict.fromkeys(("gamma_bound_s", "incidence_s", "mwu_s", "round_s"), 0.0)
+    tree = KDTree(X) if backend == "tree" and len(X) else None
 
     def attempt(gamma: float):
         prob = mwu.MWUProblem(X, colors, quotas, gamma, eps, tree)
+        t0 = time.perf_counter()
         xhat = mwu.solve(prob, g=g)
+        build_s = prob.incidence.build_s
+        timings["incidence_s"] += build_s
+        timings["mwu_s"] += time.perf_counter() - t0 - build_s
         return None if xhat is None else (prob, xhat)
 
     rounds = 0
     feasible: tuple | None = None
-    if gamma_schedule == "wspd":
+    t0 = time.perf_counter()
+    if not len(X):
+        pass  # nothing to certify: the fallback below selects the empty set
+    elif gamma_schedule == "wspd":
         Gamma = candidate_distances(X, eps)
+        timings["gamma_bound_s"] = time.perf_counter() - t0
         lo_i, hi_i = 0, len(Gamma) - 1
         while lo_i <= hi_i:
             mid = (lo_i + hi_i + 1) // 2
@@ -122,7 +141,8 @@ def certify_and_round(
             else:
                 hi_i = mid - 1
     else:
-        gamma = gamma_upper_bound(X, int(quotas.sum()))
+        gamma = gamma_upper_bound(X, k)
+        timings["gamma_bound_s"] = time.perf_counter() - t0
         if not np.isfinite(gamma):
             gamma = 1.0
         floor = 1e-12 * max(gamma, 1.0)
@@ -136,8 +156,16 @@ def certify_and_round(
         gamma, extras = 0.0, {}
     else:
         prob, xhat = feasible
+        t0 = time.perf_counter()
         sel, extras = rounding(prob, xhat)
+        timings["round_s"] = time.perf_counter() - t0
         gamma = prob.gamma
+    counters = {"gamma_rounds": rounds, "mwu_iterations": mwu.iterations(len(X), k, eps, g) if rounds else 0,
+                "incidence_pairs": 0, "update": None}
+    if feasible is not None:
+        inc = feasible[0].incidence
+        counters.update(incidence_pairs=len(inc.cover_pt), update="gather" if inc.gathers(k) else "rows")
+    extras.update(timings=timings, counters=counters)
     sel_colors = colors[sel]
     return MFDResult(
         indices=sel,
@@ -213,9 +241,9 @@ def mfd_spark(
     """Corollary 4.3 as one call: distributed per-color coreset over the
     Spark DataFrame (the only O(n) stage), then :func:`solve_coreset` on
     the O(mk) coreset on the driver (``per_color_k`` defaults to k).
-    ``extras['timings']`` records the wall seconds of the two stages
-    (``coreset_s``, ``solve_s``); indices refer to coreset rows, with the
-    selected coordinates in ``extras['points']``."""
+    ``extras['timings']`` adds the wall seconds of the two stages
+    (``coreset_s``, ``solve_s``) to the solve's own; indices refer to
+    coreset rows, with the selected coordinates in ``extras['points']``."""
     from .coreset import coreset_arrays
 
     k = int(np.sum(quotas))
@@ -223,7 +251,7 @@ def mfd_spark(
     Xc, cc = coreset_arrays(df, per_color_k or k)
     t1 = time.perf_counter()
     res = solve_coreset(Xc, cc, quotas, **mfd_kwargs)
-    res.extras["timings"] = {"coreset_s": t1 - t0, "solve_s": time.perf_counter() - t1}
+    res.extras["timings"].update(coreset_s=t1 - t0, solve_s=time.perf_counter() - t1)
     return res
 
 

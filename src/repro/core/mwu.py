@@ -5,15 +5,29 @@ LP2's constraint matrix A has A[l, i] = 1 iff point i is in S^eps_l. For a
 fixed gamma it factors as A = B P^T over a set of nodes: B[l, u] = 1 iff
 node u is one of the disjoint nodes covering S^eps_l, and P[i, u] = 1 iff
 point i lies under node u. :class:`Incidence` holds B and P as index
-arrays, built once per gamma; Oracle reads w = A^T h = P (B^T h), Update
-reads A x = B (P^T x), each two ``np.bincount`` calls, and Round blocks
-nodes. Only the build depends on the neighborhood kind:
+arrays, built once per gamma, and Round blocks nodes. Oracle reads
+w = A^T h = P (B^T h) with ``np.bincount`` (one call when P is the
+identity). Oracle picks exactly k points, so Update's A x is a count: row
+l counts the (node, selected point) pairs with the point under a node
+covering S^eps_l. It is read one of two ways, chosen once per gamma from
+the incidence's sizes (:meth:`Incidence.gathers`):
+
+- gathered from the selection: the selected points' nodes (the points
+  themselves, or their leaf→root paths), then those nodes' slices of a
+  node-major copy of B, and one ``np.bincount`` of the gathered points —
+  about k/n of the pairs, at a fixed cost of some ten numpy calls;
+- or :meth:`Incidence.rows` on the 0/1 vector, two ``np.bincount`` passes
+  over every pair, which wins on small incidences.
+
+Both give the same exact integer counts. Only the build depends on the
+neighborhood kind:
 
 - exact balls (``MWUProblem.tree is None``): the nodes are the points, B
   is the ball matrix (the ball of radius gamma/(2(1+eps)) is a *valid*
   S^eps_p with zero fuzz) and P is the identity. B's pairs come from
   :func:`repro.core.geometry.pairs_within`, which measures symmetric row
-  blocks and never holds the n×n distance matrix: O(nnz + n) memory;
+  blocks and never holds the n×n distance matrix: O(nnz + n) memory.
+  B is symmetric, so it is its own node-major copy;
 - tree covers: B lists each point's canonical nodes of the BBD-style
   query ``T(p, gamma/(2(1+eps)))``, all n queries answered by one batched
   :meth:`KDTree.canonical_nodes` call, and P each point's leaf→root
@@ -24,7 +38,8 @@ variables to 1, so A_i x - b_i in [-1, k-1]).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,10 +47,27 @@ import numpy as np
 from .geometry import pairs_within
 from .kdtree import KDTree
 
+# Update gathers from the selection when that reads at least this many
+# fewer (point, node) pairs than :meth:`Incidence.rows`; below it, the
+# gather's fixed cost of about ten numpy calls is the larger one.
+GATHER_MIN_SAVING = 4096
+
+
+def _segments(values: np.ndarray, start: np.ndarray, lens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``values[start[i] : start[i] + lens[i]]`` for every i in ``idx``,
+    concatenated."""
+    s, n = start[idx], lens[idx]
+    ends = np.cumsum(n)
+    pos = np.repeat(s - ends + n, n)
+    pos += np.arange(len(pos))
+    return values[pos]
+
 
 @dataclass
 class Incidence:
-    """A = B P^T as (point, node) index pairs, both sorted by point."""
+    """A = B P^T as (point, node) index pairs, both sorted by point.
+    ``exact`` marks exact balls: the nodes are the points, P is the
+    identity and B is symmetric."""
 
     n_points: int
     n_nodes: int
@@ -43,6 +75,8 @@ class Incidence:
     cover_node: np.ndarray
     member_pt: np.ndarray  # P: point member_pt[e] lies under node member_node[e]
     member_node: np.ndarray
+    exact: bool = False
+    build_s: float = field(default=0.0, compare=False)  # set by MWUProblem.incidence
 
     def __post_init__(self) -> None:
         bounds = np.arange(self.n_points + 1)
@@ -52,12 +86,46 @@ class Incidence:
     def coeffs(self, h: np.ndarray) -> np.ndarray:
         """A^T h: w_i = sum of h_l over the l with i in S^eps_l."""
         per_node = np.bincount(self.cover_node, weights=h[self.cover_pt], minlength=self.n_nodes)
+        if self.exact:
+            return per_node
         return np.bincount(self.member_pt, weights=per_node[self.member_node], minlength=self.n_points)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """A x: row l is the x-mass of S^eps_l."""
-        per_node = np.bincount(self.member_node, weights=x[self.member_pt], minlength=self.n_nodes)
+        if self.exact:
+            per_node = x
+        else:
+            per_node = np.bincount(self.member_node, weights=x[self.member_pt], minlength=self.n_nodes)
         return np.bincount(self.cover_pt, weights=per_node[self.cover_node], minlength=self.n_points)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Segment index of P's rows and of B node-major: point i lies
+        under ``member_node[ps[i] : ps[i] + pn[i]]``, and node u covers part
+        of S^eps_l for every l in ``pts[bs[u] : bs[u] + bn[u]]``. A
+        symmetric B is its own node-major copy."""
+        ps = self._member_ptr[:-1]
+        pn = np.diff(self._member_ptr)
+        if self.exact:
+            return ps, pn, self.cover_node, self._cover_ptr[:-1], np.diff(self._cover_ptr)
+        order = np.argsort(self.cover_node, kind="stable")
+        bn = np.bincount(self.cover_node, minlength=self.n_nodes)
+        return ps, pn, self.cover_pt[order], np.cumsum(bn) - bn, bn
+
+    def selected_rows(self, sel: np.ndarray) -> np.ndarray:
+        """A x for the 0/1 vector x with ones at ``sel``, as integer counts,
+        gathered from the selected points' node columns."""
+        ps, pn, pts, bs, bn = self._columns
+        nodes = sel if self.exact else _segments(self.member_node, ps, pn, sel)
+        return np.bincount(_segments(pts, bs, bn, nodes), minlength=self.n_points)
+
+    def gathers(self, k: int) -> bool:
+        """Whether Update reads A x for a k-point selection with
+        :meth:`selected_rows` rather than :meth:`rows`: when the pairs it
+        skips, about (1 - k/n) of those ``rows`` reads, number at least
+        :data:`GATHER_MIN_SAVING`."""
+        pairs = len(self.cover_pt) + (0 if self.exact else len(self.member_pt))
+        return pairs * (1.0 - k / self.n_points) >= GATHER_MIN_SAVING
 
     def covers(self, i: int) -> np.ndarray:
         """Nodes covering S^eps_i."""
@@ -92,68 +160,87 @@ class MWUProblem:
     @cached_property
     def incidence(self) -> Incidence:
         """This gamma's neighborhood incidence, shared by solve, round and
-        :func:`lp2_violation`."""
+        :func:`lp2_violation`; its ``build_s`` is the build's wall time."""
+        t0 = time.perf_counter()
         n = len(self.X)
         if self.tree is None:
             cover_pt, cover_node = pairs_within(self.X, self.radius)
             ident = np.arange(n)
-            return Incidence(n, n, cover_pt, cover_node, ident, ident)
-        cover_pt, cover_node = self.tree.canonical_nodes(self.X, self.radius, self.eps).T.copy()
-        return Incidence(n, self.tree.n_nodes, cover_pt, cover_node, *self.tree.leaf_paths())
+            inc = Incidence(n, n, cover_pt, cover_node, ident, ident, exact=True)
+        else:
+            cover_pt, cover_node = self.tree.canonical_nodes(self.X, self.radius, self.eps).T.copy()
+            inc = Incidence(n, self.tree.n_nodes, cover_pt, cover_node, *self.tree.leaf_paths())
+        inc.build_s = time.perf_counter() - t0
+        return inc
 
 
-def _color_index_lists(colors: np.ndarray, m: int) -> list[np.ndarray]:
-    return [np.where(colors == j)[0] for j in range(m)]
+def _color_groups(colors: np.ndarray, quotas: np.ndarray):
+    """The Oracle's per-color layout, built once per solve: ``perm`` lists
+    the points grouped by color, ascending within a color; ``spans`` holds
+    (start, stop, k_j) of every color with k_j > 0, whose points are
+    ``perm[start:stop]``; ``offsets`` repeats each start k_j times. None if
+    a color has fewer than k_j points."""
+    perm = np.argsort(colors, kind="stable")
+    bounds = np.searchsorted(colors[perm], np.arange(len(quotas) + 1))
+    if np.any(np.diff(bounds) < quotas):
+        return None
+    spans = [(int(bounds[j]), int(bounds[j + 1]), int(kj)) for j, kj in enumerate(quotas) if kj > 0]
+    offsets = np.repeat(bounds[:-1], quotas)
+    return perm, spans, offsets
 
 
-def _oracle(
-    inc: Incidence, h: np.ndarray, by_color: list[np.ndarray], quotas: np.ndarray
-) -> np.ndarray | None:
+def _oracle(inc: Incidence, h: np.ndarray, groups) -> np.ndarray | None:
     """Algorithm 2: minimizes h^T A x over x in P by taking the k_j
     smallest-coefficient points per color, with coefficients w = A^T h;
-    feasible iff the minimum is <= 1."""
+    feasible iff the minimum is <= 1. Returns the selected points, color
+    by color (``groups`` is :func:`_color_groups`'s), or None."""
     w = inc.coeffs(h)
-    sel = []
-    for j, kj in enumerate(quotas):
-        if kj == 0:
-            continue
-        idx = by_color[j]
-        if len(idx) < kj:
-            return None
-        part = np.argpartition(w[idx], kj - 1)[:kj]
-        sel.append(idx[part])
-    sel = np.concatenate(sel) if sel else np.empty(0, dtype=np.int64)
+    perm, spans, offsets = groups
+    wp = w[perm]
+    parts = [np.argpartition(wp[start:stop], kj - 1)[:kj] for start, stop, kj in spans]
+    sel = perm[np.concatenate(parts) + offsets]
     if w[sel].sum() > 1.0 + 1e-12:
         return None
-    xbar = np.zeros(len(h))
-    xbar[sel] = 1.0
-    return xbar
+    return sel
+
+
+def iterations(n: int, k: int, eps: float, g: float) -> int:
+    """MWU's T = ceil(g * T_full) with T_full = ceil(eps^-2 k ln n) (the
+    paper's early-stopping parameterization, Section 6)."""
+    T_full = int(np.ceil(eps**-2 * k * np.log(max(n, 2))))
+    return max(1, int(np.ceil(g * T_full)))
 
 
 def solve(prob: MWUProblem, *, g: float = 0.3) -> np.ndarray | None:
-    """MWU main loop. Returns x_hat or None (infeasible).
-
-    Runs T = ceil(g * T_full) iterations with T_full = ceil(eps^-2 k ln n)
-    (the paper's early-stopping parameterization, Section 6).
-    """
+    """MWU main loop over :func:`iterations` T iterations. Returns x_hat or
+    None (infeasible)."""
     n = len(prob.X)
     k = int(prob.quotas.sum())
+    inc = prob.incidence
     if k == 0:
         return np.zeros(n)
-    T_full = int(np.ceil(prob.eps**-2 * k * np.log(max(n, 2))))
-    T = max(1, int(np.ceil(g * T_full)))
-    inc = prob.incidence
-    by_color = _color_index_lists(prob.colors, len(prob.quotas))
+    groups = _color_groups(prob.colors, prob.quotas)
+    if groups is None:
+        return None
+    if inc.gathers(k):
+        update = inc.selected_rows
+    else:
+        def update(sel: np.ndarray) -> np.ndarray:
+            xbar = np.zeros(n)
+            xbar[sel] = 1.0
+            return inc.rows(xbar)
+
+    T = iterations(n, k, prob.eps, g)
     h = np.full(n, 1.0 / n)
     xhat = np.zeros(n)
     eta = prob.eps / 4.0
     for _ in range(T):
-        xbar = _oracle(inc, h, by_color, prob.quotas)
-        if xbar is None:
+        sel = _oracle(inc, h, groups)
+        if sel is None:
             return None
-        xhat += xbar
+        xhat[sel] += 1.0
         # Algorithm 3: delta_l = (A_l xbar - 1) / k; h_l *= (1 + eta delta_l).
-        delta = (inc.rows(xbar) - 1.0) / k
+        delta = (update(sel) - 1.0) / k
         h *= 1.0 + eta * delta
         h /= h.sum()
     return xhat / T

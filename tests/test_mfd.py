@@ -203,3 +203,29 @@ def test_unknown_backend_raises_value_error(backend):
     X, colors = _instance(40, 2, 2, seed=0)
     with pytest.raises(ValueError, match="backend must be 'dense' or 'tree'"):
         mfd(X, colors, np.array([2, 2]), backend=backend, seed=0)
+
+
+@pytest.mark.parametrize("backend", ["dense", "tree"])
+def test_empty_coreset_gives_empty_selection(backend):
+    """An empty coreset (what an empty DataFrame gives ``mfd_spark``) is an
+    empty answer whose misses are the requested quotas."""
+    from repro.core.mfd import solve_coreset
+
+    res = solve_coreset(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.array([2, 1]), backend=backend)
+    assert len(res.indices) == 0 and res.indices.dtype == np.int64
+    assert res.missed.tolist() == [2, 1]
+    assert res.gamma == 0.0 and res.n_mwu_rounds == 0
+
+
+@pytest.mark.parametrize("backend", ["dense", "tree"])
+def test_extras_record_stage_timings_and_counters(backend):
+    """Every result carries per-stage wall seconds and the search's counters."""
+    X, colors = _instance(60, 2, 3, seed=3)
+    res = mfd(X, colors, np.array([2, 2, 2]), backend=backend, seed=0)
+    timings, counters = res.extras["timings"], res.extras["counters"]
+    assert set(timings) == {"gamma_bound_s", "incidence_s", "mwu_s", "round_s"}
+    assert all(t > 0 for t in timings.values())
+    assert counters["gamma_rounds"] == res.n_mwu_rounds >= 1
+    assert counters["mwu_iterations"] == int(np.ceil(0.3 * np.ceil(6 * np.log(60))))
+    assert counters["incidence_pairs"] >= 60  # every point covers itself
+    assert counters["update"] in ("gather", "rows")

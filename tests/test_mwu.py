@@ -39,6 +39,82 @@ def _reference_matrix(prob):
     return A
 
 
+def _oracle_xbar(inc, h, colors, quotas):
+    """The Oracle's selection as a dense 0/1 vector x̄ (None if infeasible)."""
+    sel = mwu._oracle(inc, h, mwu._color_groups(colors, quotas))
+    if sel is None:
+        return None
+    xbar = np.zeros(len(h))
+    xbar[sel] = 1.0
+    return xbar
+
+
+def _reference_solve(prob, g):
+    """The MWU loop with a dense x̄: per-color index lists, ``argpartition``
+    of ``w[idx]``, and Update by two ``bincount`` passes over every pair."""
+    inc = prob.incidence
+    n, k = len(prob.X), int(prob.quotas.sum())
+    T = max(1, int(np.ceil(g * int(np.ceil(prob.eps**-2 * k * np.log(max(n, 2)))))))
+    by_color = [np.where(prob.colors == j)[0] for j in range(len(prob.quotas))]
+    h = np.full(n, 1.0 / n)
+    xhat = np.zeros(n)
+    for _ in range(T):
+        per_node = np.bincount(inc.cover_node, weights=h[inc.cover_pt], minlength=inc.n_nodes)
+        w = np.bincount(inc.member_pt, weights=per_node[inc.member_node], minlength=n)
+        sel = []
+        for j, kj in enumerate(prob.quotas):
+            if kj == 0:
+                continue
+            idx = by_color[j]
+            if len(idx) < kj:
+                return None
+            sel.append(idx[np.argpartition(w[idx], kj - 1)[:kj]])
+        sel = np.concatenate(sel)
+        if w[sel].sum() > 1.0 + 1e-12:
+            return None
+        xbar = np.zeros(n)
+        xbar[sel] = 1.0
+        xhat += xbar
+        per_node = np.bincount(inc.member_node, weights=xbar[inc.member_pt], minlength=inc.n_nodes)
+        rows = np.bincount(inc.cover_pt, weights=per_node[inc.cover_node], minlength=n)
+        h *= 1.0 + prob.eps / 4.0 * (rows - 1.0) / k
+        h /= h.sum()
+    return xhat / T
+
+
+@pytest.mark.parametrize("kind", ["dense", "tree"])
+@pytest.mark.parametrize(
+    "n, gamma, gathers", [(40, 2.0, False), (600, 3.0, True), (600, 60.0, True)],
+    ids=["rows", "gather", "infeasible"],
+)
+def test_solve_bit_identical_to_dense_xbar_loop(kind, n, gamma, gathers):
+    """x̂ equals the dense-x̄ reference loop exactly, on both Update reads
+    (small incidences read every pair; large ones gather from the
+    selection) and with a zero-quota color."""
+    X, colors = _instance(n=n, seed=4)
+    quotas = np.array([3, 0, 2])
+    prob = _problem(X, colors, quotas, gamma=gamma, eps=1.0, kind=kind)
+    assert prob.incidence.gathers(int(quotas.sum())) == gathers
+    got, want = mwu.solve(prob, g=1.0), _reference_solve(prob, g=1.0)
+    assert (got is None) == (want is None) == (gamma > 10)
+    assert got is None or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["dense", "tree"])
+@pytest.mark.parametrize("n", [40, 600])
+def test_selected_rows_equal_rows(kind, n):
+    """The gathered A x̄ of a selection equals ``Incidence.rows`` of its 0/1
+    vector exactly."""
+    X, colors = _instance(n=n, seed=5)
+    inc = _problem(X, colors, np.array([1, 1, 1]), gamma=3.0, eps=0.5, kind=kind).incidence
+    rng = np.random.default_rng(n)
+    for k in (1, 7, n // 4):
+        sel = rng.choice(n, size=k, replace=False)
+        xbar = np.zeros(n)
+        xbar[sel] = 1.0
+        assert np.array_equal(inc.selected_rows(sel), inc.rows(xbar))
+
+
 @pytest.mark.parametrize("kind", ["dense", "tree"])
 @pytest.mark.parametrize("seed", range(3))
 def test_incidence_matches_neighborhood_matrix(kind, seed):
@@ -91,8 +167,7 @@ def test_oracle_dense_matches_bruteforce_minimum(seed):
     rng = np.random.default_rng(seed)
     h = rng.random(len(X))
     h /= h.sum()
-    by_color = mwu._color_index_lists(colors, 3)
-    xbar = mwu._oracle(prob.incidence, h, by_color, quotas)
+    xbar = _oracle_xbar(prob.incidence, h, colors, quotas)
     w = A @ h
     if xbar is None:
         # Then even the minimal selection exceeds 1.
@@ -118,8 +193,7 @@ def test_tree_oracle_coefficients_match_fuzzy_neighborhoods(seed):
     h = rng.random(len(X))
     h /= h.sum()
     w_ref = _reference_matrix(prob).T @ h
-    by_color = mwu._color_index_lists(colors, 3)
-    xbar = mwu._oracle(prob.incidence, h, by_color, quotas)
+    xbar = _oracle_xbar(prob.incidence, h, colors, quotas)
     # Recompute the oracle on reference coefficients.
     sel_ref = []
     for j in range(3):

@@ -149,6 +149,14 @@ def test_sfdm2_rejects_out_of_range_color(color):
     assert algo.n_seen == 0 and algo.stored_items() == 0
 
 
+def test_streammfd_solution_before_any_insert():
+    """An empty synopsis gives an empty answer that misses every quota."""
+    res = StreamMFD(2, 2, 5).solution(np.array([1, 1]))
+    assert len(res.indices) == 0
+    assert res.missed.tolist() == [1, 1]
+    assert res.extras["synopsis_points"].shape == (0, 2)
+
+
 def test_streammfd_synopsis_shortfall_reported_against_requested_quotas():
     """A synopsis holding fewer than k_0 points of color 0 cannot meet k_0:
     the shortfall is a miss, and extras['held'] shows it."""
