@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.geometry import diversity, missed_per_color, pairwise_distances
+from ..core.geometry import diversity, dists_to_point, missed_per_color, pairwise_distances
 from ..core.gonzalez import gonzalez
 from ..flow.dinic import Dinic
 
@@ -33,7 +33,7 @@ def _greedy_net(X: np.ndarray, sep: float) -> np.ndarray:
     centers: list[int] = []
     C = np.empty((0, X.shape[1]))
     for i in range(len(X)):
-        if len(centers) == 0 or np.sqrt(((C - X[i]) ** 2).sum(axis=1)).min() >= sep:
+        if len(centers) == 0 or dists_to_point(C, X[i]).min() >= sep:
             centers.append(i)
             C = np.vstack([C, X[i]])
     return np.array(centers, dtype=np.int64)
@@ -70,7 +70,7 @@ def _flow_select(
             if centers[l] in members:
                 sel.append(int(centers[l]))
             else:
-                d = np.sqrt(((U[members] - U[centers[l]]) ** 2).sum(axis=1))
+                d = dists_to_point(U[members], U[centers[l]])
                 sel.append(int(members[np.argmin(d)]))
     return sel
 
@@ -79,17 +79,15 @@ def fairflow(
     X: np.ndarray, colors: np.ndarray, quotas: np.ndarray, *, seed: int | None = None
 ) -> BaselineResult:
     """Run FairFlow on (X, colors) with per-color quotas."""
+    from ..core.coreset import coreset_numpy
+
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
     quotas = np.asarray(quotas, dtype=np.int64)
     m = len(quotas)
     k = int(quotas.sum())
-    # Per-color Gonzalez candidates (the O(nk) stage).
-    cand: list[np.ndarray] = []
-    for j in range(m):
-        idx = np.where(colors == j)[0]
-        cand.append(idx[gonzalez(X[idx], max(int(quotas[j]), min(k, len(idx))))])
-    cand_idx = np.concatenate(cand)
+    # Per-color Gonzalez candidates, k per color (the O(nk) stage).
+    cand_idx, _ = coreset_numpy(X, colors, k)
     U, u_colors = X[cand_idx], colors[cand_idx]
     # Unfair-diversity estimate from color-blind Gonzalez on the union.
     delta = diversity(U[gonzalez(U, min(k, len(U)))])

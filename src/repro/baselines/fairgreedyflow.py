@@ -9,20 +9,19 @@ center within gamma/(m+1) when gamma > 2 gamma/(m+1), i.e. m >= 2), so
 feasibility is never spuriously rejected; the returned diversity decays
 by the 1/((m+1)(1+eps)) chaining factor — the paper's guarantee shape.
 
-Searches gamma over a descending geometric grid from the global-Gonzalez
-upper bound (same schedule as MFD, for comparability), stopping at the
-first feasible guess.
+The guesses are MFD's own geometric schedule
+(:func:`repro.core.mfd.geometric_descent` from the global-Gonzalez upper
+bound, default decay), stopping at the first feasible guess. As in MFD,
+k < 2 makes no guess, and when no guess is feasible the answer is
+:func:`repro.core.mfd.fallback_selection` with gamma 0.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.geometry import diversity, missed_per_color, pairwise_distances
-from ..core.mfd import gamma_upper_bound
+from ..core import mfd
+from ..core.geometry import diversity, missed_per_color, pairwise_distances, satisfies_quotas
 from .fairflow import BaselineResult, _flow_select, _greedy_net
-
-DECAY = 0.15  # gamma <- (1 - DECAY) gamma per infeasible guess, as MFD's default
-MAX_ROUNDS = 200
 
 
 def fairgreedyflow(
@@ -37,26 +36,19 @@ def fairgreedyflow(
     quotas = np.asarray(quotas, dtype=np.int64)
     m = len(quotas)
     k = int(quotas.sum())
-    gamma = gamma_upper_bound(X, k)
-    if not np.isfinite(gamma):
-        gamma = 1.0
-    best = None
-    for _ in range(MAX_ROUNDS):
-        sep = gamma / (m + 1)
-        centers = _greedy_net(X, sep)
+
+    def attempt(gamma: float):
+        centers = _greedy_net(X, gamma / (m + 1))
         clusters = np.argmin(pairwise_distances(X, X[centers]), axis=1)
-        sel_rows = _flow_select(X, colors, clusters, centers, quotas)
-        got = np.bincount(colors[sel_rows], minlength=m) if sel_rows else np.zeros(m, int)
-        if np.all(got >= quotas):
-            best = np.array(sel_rows, dtype=np.int64)
-            break
-        gamma *= 1.0 - DECAY
-    if best is None:
-        best = np.array(sel_rows, dtype=np.int64) if sel_rows else np.empty(0, dtype=np.int64)
+        sel = np.array(_flow_select(X, colors, clusters, centers, quotas), dtype=np.int64)
+        return (sel, gamma) if satisfies_quotas(colors[sel], quotas) else None
+
+    found = mfd.geometric_descent(attempt, mfd.gamma_upper_bound(X, k))[0] if k >= 2 else None
+    sel, gamma = found if found is not None else (mfd.fallback_selection(colors, quotas), 0.0)
     return BaselineResult(
-        indices=best,
-        diversity=diversity(X[best]),
-        colors=colors[best],
-        missed=missed_per_color(colors[best], quotas),
+        indices=sel,
+        diversity=diversity(X[sel]),
+        colors=colors[sel],
+        missed=missed_per_color(colors[sel], quotas),
         extras={"gamma": gamma},
     )

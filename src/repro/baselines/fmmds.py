@@ -1,11 +1,13 @@
 """FMMD-S baseline (Wang, Mathioudakis, Li, Fabbri — SDM 2023 [52]).
 
 Shape of the original: build a small candidate set (coreset), then for
-decreasing diversity thresholds solve an *exact* integer program —
-"pick an independent set of the threshold conflict graph with >= k_j
-candidates per color" — returning the first feasible threshold's
-solution. The original solves the IP with Gurobi; offline we implement
-an exact backtracking search over conflict bitmasks with a node budget.
+diversity thresholds (the candidates' pairwise distances) solve an
+*exact* integer program — "pick an independent set of the threshold
+conflict graph with >= k_j candidates per color" — and return the
+solution at the largest feasible threshold, found by MFD's own binary
+search (:func:`repro.core.mfd.binary_search`). The original solves the
+IP with Gurobi; offline we implement an exact backtracking search over
+conflict bitmasks with a node budget.
 Budget exhaustion raises :class:`FMMDSBudgetExceeded`, which the
 experiment harness records as DNF — reproducing the paper's observation
 that FMMD-S attains the best diversity on small instances but fails to
@@ -17,6 +19,7 @@ import numpy as np
 
 from ..core.geometry import diversity, missed_per_color, pairwise_distances
 from ..core.gonzalez import gonzalez
+from ..core.mfd import binary_search
 from .fairflow import BaselineResult
 
 
@@ -110,36 +113,18 @@ def fmmds(
     U, u_colors = X[cand_idx], colors[cand_idx]
     D = pairwise_distances(U)
     np.fill_diagonal(D, np.inf)
-    thresholds = np.unique(D[np.isfinite(D)])[::-1]  # descending
     budget = [node_budget]
 
-    def feasible(gamma: float) -> list[int] | None:
-        conflict = D < gamma
-        adj = []
-        for i in range(len(U)):
-            mask = 0
-            for v in np.where(conflict[i])[0]:
-                mask |= 1 << int(v)
-            adj.append(mask)
-        return _exact_quota_independent_set(adj, u_colors, quotas, budget)
+    def feasible(gamma: float) -> tuple[list[int], float] | None:
+        adj = [sum(1 << int(v) for v in np.flatnonzero(row)) for row in D < gamma]
+        sol = _exact_quota_independent_set(adj, u_colors, quotas, budget)
+        return None if sol is None else (sol, gamma)
 
-    # thresholds is descending, so feasibility is monotone in the index
-    # (larger index = smaller gamma = fewer conflicts). Binary-search the
-    # first feasible index, i.e. the largest feasible gamma.
-    lo, hi = 0, len(thresholds) - 1
-    best_sel, best_gamma = None, 0.0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        sol = feasible(float(thresholds[mid]))
-        if sol is not None:
-            best_sel, best_gamma = sol, float(thresholds[mid])
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best_sel is None:
-        sel = np.empty(0, dtype=np.int64)
-    else:
-        sel = cand_idx[np.array(best_sel, dtype=np.int64)]
+    # A larger threshold only adds conflicts, so the feasible thresholds are
+    # a prefix of the ascending candidates: binary-search its last one.
+    best = binary_search(feasible, np.unique(D[np.isfinite(D)]))[0]
+    best_sel, best_gamma = best if best is not None else ([], 0.0)
+    sel = cand_idx[np.array(best_sel, dtype=np.int64)]
     return BaselineResult(
         indices=sel,
         diversity=diversity(X[sel]),

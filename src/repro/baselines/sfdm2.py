@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.geometry import diversity, missed_per_color, pairwise_distances
+from ..core.geometry import diversity, dists_to_point, missed_per_color, pairwise_distances
 from ..core.mfd import gamma_upper_bound
 from ..core.streaming import feed
 from .fairflow import BaselineResult
@@ -62,13 +62,13 @@ class SFDM2:
         for t, mu in enumerate(self.mus):
             G = self.glob[t]
             if len(G) < self.k and (
-                len(G) == 0 or np.sqrt(((G - p) ** 2).sum(axis=1)).min() >= mu
+                len(G) == 0 or dists_to_point(G, p).min() >= mu
             ):
                 self.glob[t] = np.vstack([G, p])
                 self.glob_colors[t].append(int(color))
             C = self.per_color[t][color]
             if len(C) < self.quotas[color] + self.k and (
-                len(C) == 0 or np.sqrt(((C - p) ** 2).sum(axis=1)).min() >= mu
+                len(C) == 0 or dists_to_point(C, p).min() >= mu
             ):
                 self.per_color[t][color] = np.vstack([C, p])
 
@@ -99,12 +99,8 @@ class SFDM2:
                 for p in self.per_color[t][j]:
                     if used[j] >= self.quotas[j]:
                         break
-                    if sel_pts:
-                        dmin = min(
-                            float(np.sqrt(((q - p) ** 2).sum())) for q in sel_pts
-                        )
-                        if dmin < mu / 3.0:
-                            continue
+                    if sel_pts and dists_to_point(np.array(sel_pts), p).min() < mu / 3.0:
+                        continue
                     sel_pts.append(p)
                     sel_colors.append(j)
                     used[j] += 1

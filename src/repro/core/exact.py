@@ -2,7 +2,8 @@
 
 These are exponential/quadratic oracles that define ground truth on tiny
 instances: the exact FairDiv optimum (subset enumeration), the exact
-k-center optimum, and exact neighborhood matrices.
+k-center optimum, exact neighborhood matrices, the k-center objective of
+a given center set, and the point set of a KD-tree fuzzy ball.
 """
 from __future__ import annotations
 
@@ -56,3 +57,18 @@ def ball_matrix(X: np.ndarray, r: float) -> np.ndarray:
     gamma/(2(1+eps)) and nothing beyond gamma/2 when r = gamma/(2(1+eps))).
     """
     return pairwise_distances(X) <= r
+
+
+def gonzalez_radius(X: np.ndarray, centers_idx: np.ndarray) -> float:
+    """k-center objective (max distance of any point to its center)."""
+    D = pairwise_distances(np.asarray(X), np.asarray(X)[centers_idx])
+    return float(D.min(axis=1).max())
+
+
+def fuzzy_ball_members(tree, x: np.ndarray, r: float, eps: float) -> np.ndarray:
+    """Point indices of S^eps_x = union of ``tree``'s canonical subtrees of
+    T(x, r) (``tree`` is a :class:`repro.core.kdtree.KDTree`)."""
+    nodes = tree.canonical_nodes(np.asarray(x)[None], r, eps)[:, 1]
+    if not len(nodes):
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([tree.points_under(u) for u in nodes])

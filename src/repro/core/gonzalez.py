@@ -55,10 +55,3 @@ def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         mind[nxt] = -np.inf
     return order, radii
 
-
-def gonzalez_radius(X: np.ndarray, centers_idx: np.ndarray) -> float:
-    """k-center objective (max distance of any point to its center)."""
-    from .geometry import pairwise_distances
-
-    D = pairwise_distances(np.asarray(X), np.asarray(X)[centers_idx])
-    return float(D.min(axis=1).max())

@@ -152,13 +152,6 @@ class KDTree:
         """Indices of all points in the subtree of ``node`` (a view)."""
         return self.order[self.start[node] : self.start[node] + self.size[node]]
 
-    def fuzzy_ball_members(self, x: np.ndarray, r: float, eps: float) -> np.ndarray:
-        """Point indices of S^eps_x = union of canonical subtrees of T(x, r)."""
-        nodes = self.canonical_nodes(np.asarray(x)[None], r, eps)[:, 1]
-        if not len(nodes):
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([self.points_under(u) for u in nodes])
-
     def leaf_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """``(point, node)`` index pairs, one per node on each point's
         leaf→root path; sorted by point, leaf first within a point."""

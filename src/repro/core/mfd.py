@@ -14,7 +14,9 @@ choices the authors made in their own artifact):
 
 :func:`mfd` and the high-probability variant share one gamma search
 (:func:`certify_and_round`); every solve on a coreset or synopsis goes
-through :func:`solve_coreset`, the one place that decides quotas.
+through :func:`solve_coreset`, the one place that decides quotas. The two
+search loops, :func:`geometric_descent` and :func:`binary_search`, are
+also those of the FairGreedyFlow and FMMD-S baselines.
 
 Run directly on a point set this is Theorem 3.2; run on the Section 4
 coreset (see :mod:`repro.core.coreset`) it is Corollary 4.3 — the
@@ -62,6 +64,44 @@ def gamma_upper_bound(X: np.ndarray, k: int) -> float:
     return 2.0 * diversity(X[idx])
 
 
+def geometric_descent(attempt: Callable[[float], object], start: float, decay: float = 0.15):
+    """The practical gamma schedule (paper Section 6): ``attempt(gamma)`` for
+    gamma = ``start`` (finite), then gamma * (1 - ``decay``), ..., while gamma
+    >= 1e-12 * max(start, 1). Returns the first non-None result and the tries."""
+    gamma, tries = start, 0
+    floor = 1e-12 * max(start, 1.0)
+    while gamma >= floor:
+        tries += 1
+        got = attempt(gamma)
+        if got is not None:
+            return got, tries
+        gamma *= 1.0 - decay
+    return None, tries
+
+
+def binary_search(attempt: Callable[[float], object], candidates: np.ndarray):
+    """Theorem 3.2's search over the ascending ``candidates``: ``attempt``
+    the middle one (mid = (lo + hi + 1) // 2), then search above it on a
+    non-None result, below it on None. Returns the last non-None result and
+    the tries."""
+    lo, hi, tries, best = 0, len(candidates) - 1, 0, None
+    while lo <= hi:
+        mid = (lo + hi + 1) // 2
+        tries += 1
+        got = attempt(float(candidates[mid]))
+        if got is None:
+            hi = mid - 1
+        else:
+            best, lo = got, mid + 1
+    return best, tries
+
+
+def fallback_selection(colors: np.ndarray, quotas: np.ndarray) -> np.ndarray:
+    """The first k_j rows of each color j: the fair set returned, with gamma 0,
+    when no gamma is certified."""
+    return np.concatenate([np.flatnonzero(colors == j)[:q] for j, q in enumerate(quotas)])
+
+
 def certify_and_round(
     X: np.ndarray,
     colors: np.ndarray,
@@ -77,14 +117,16 @@ def certify_and_round(
     """Algorithm 1: validate the input (finite coordinates, color ids in
     [0, m), quotas the colors can meet, a finite ``eps`` > 0, a known
     ``backend`` and ``gamma_schedule``; ``ValueError`` otherwise), search
-    for the largest gamma whose LP2 MWU certifies feasible (WSPD binary
-    search, or geometric decay from :func:`gamma_upper_bound` to a floor
-    of 1e-12 times it, at most ~170 rounds), and round its x_hat with
-    ``rounding(prob, xhat) -> (indices, extras)``. If no gamma is
-    certified, the result is a fair set (the first k_j rows of each color)
-    with gamma 0. That is always so when X has fewer than k distinct
-    locations: the upper bound is then 0 and every fair set is optimal. An
-    empty X (all quotas 0) gives the empty set, with no gamma tried.
+    for the largest gamma whose LP2 MWU certifies feasible
+    (:func:`binary_search` over the WSPD candidates, or
+    :func:`geometric_descent` from :func:`gamma_upper_bound`, at most ~170
+    rounds), and round its x_hat with ``rounding(prob, xhat) -> (indices,
+    extras)``. If no gamma is certified, the result is
+    :func:`fallback_selection`, a fair set, with gamma 0. That is always so
+    when X has fewer than k distinct locations: the upper bound is then 0
+    and every fair set is optimal. With k < 2 (an empty X included) no
+    gamma is tried: k = 0 gives the empty set and k = 1 the first row of
+    the needed color, both with gamma 0.
 
     ``extras`` also gets ``timings`` (wall seconds: ``gamma_bound_s``, the
     upper bound or WSPD candidates; ``incidence_s`` and ``mwu_s``, the
@@ -111,7 +153,7 @@ def certify_and_round(
 
     k = int(quotas.sum())
     timings = dict.fromkeys(("gamma_bound_s", "incidence_s", "mwu_s", "round_s"), 0.0)
-    tree = KDTree(X) if backend == "tree" and len(X) else None
+    tree = KDTree(X) if backend == "tree" and k >= 2 else None
 
     def attempt(gamma: float):
         prob = mwu.MWUProblem(X, colors, quotas, gamma, eps, tree)
@@ -122,48 +164,28 @@ def certify_and_round(
         timings["mwu_s"] += time.perf_counter() - t0 - build_s
         return None if xhat is None else (prob, xhat)
 
-    rounds = 0
-    feasible: tuple | None = None
-    t0 = time.perf_counter()
-    if not len(X):
-        pass  # nothing to certify: the fallback below selects the empty set
-    elif gamma_schedule == "wspd":
-        Gamma = candidate_distances(X, eps)
-        timings["gamma_bound_s"] = time.perf_counter() - t0
-        lo_i, hi_i = 0, len(Gamma) - 1
-        while lo_i <= hi_i:
-            mid = (lo_i + hi_i + 1) // 2
-            rounds += 1
-            got = attempt(float(Gamma[mid]))
-            if got is not None:
-                feasible = got
-                lo_i = mid + 1
-            else:
-                hi_i = mid - 1
-    else:
-        gamma = gamma_upper_bound(X, k)
-        timings["gamma_bound_s"] = time.perf_counter() - t0
-        if not np.isfinite(gamma):
-            gamma = 1.0
-        floor = 1e-12 * max(gamma, 1.0)
-        while feasible is None and gamma >= floor:
-            rounds += 1
-            feasible = attempt(gamma)
-            gamma *= 1.0 - decay
+    feasible, rounds = None, 0
+    if k >= 2:  # with fewer than 2 points every set has diversity inf: nothing to certify
+        t0 = time.perf_counter()
+        if gamma_schedule == "wspd":
+            Gamma = candidate_distances(X, eps)
+            timings["gamma_bound_s"] = time.perf_counter() - t0
+            feasible, rounds = binary_search(attempt, Gamma)
+        else:
+            start = gamma_upper_bound(X, k)
+            timings["gamma_bound_s"] = time.perf_counter() - t0
+            feasible, rounds = geometric_descent(attempt, start, decay)
 
+    counters = {"gamma_rounds": rounds, "mwu_iterations": mwu.iterations(len(X), k, eps, g) if rounds else 0,
+                "incidence_pairs": 0, "update": None}
     if feasible is None:
-        sel = np.concatenate([np.flatnonzero(colors == j)[:q] for j, q in enumerate(quotas)])
-        gamma, extras = 0.0, {}
+        sel, gamma, extras = fallback_selection(colors, quotas), 0.0, {}
     else:
         prob, xhat = feasible
         t0 = time.perf_counter()
         sel, extras = rounding(prob, xhat)
         timings["round_s"] = time.perf_counter() - t0
-        gamma = prob.gamma
-    counters = {"gamma_rounds": rounds, "mwu_iterations": mwu.iterations(len(X), k, eps, g) if rounds else 0,
-                "incidence_pairs": 0, "update": None}
-    if feasible is not None:
-        inc = feasible[0].incidence
+        gamma, inc = prob.gamma, prob.incidence
         counters.update(incidence_pairs=len(inc.cover_pt), update="gather" if inc.gathers(k) else "rows")
     extras.update(timings=timings, counters=counters)
     sel_colors = colors[sel]

@@ -97,3 +97,48 @@ def test_baselines_handle_zero_quota(algo):
     quotas = np.array([2, 0, 2])
     res = algo(X, colors, quotas)
     assert res.missed[1] == 0
+
+
+def _count_greedy_nets(monkeypatch):
+    import repro.baselines.fairgreedyflow as fgf
+
+    calls = []
+
+    def counted(X, sep):
+        calls.append(sep)
+        return _greedy_net(X, sep)
+
+    monkeypatch.setattr(fgf, "_greedy_net", counted)
+    return calls
+
+
+def test_fairgreedyflow_makes_no_guess_at_gamma_zero(monkeypatch):
+    """200 points on 5 locations, k = 8: the upper bound is 0, so no guess
+    can be certified and none is made; the answer is MFD's fallback, a fair
+    set, which is optimal here (every fair set has diversity 0)."""
+    calls = _count_greedy_nets(monkeypatch)
+    rng = np.random.default_rng(0)
+    X = (rng.normal(size=(5, 2)) * 3.0)[rng.integers(0, 5, size=200)]
+    colors = rng.integers(0, 2, size=200)
+    quotas = np.array([4, 4])
+    res = fairgreedyflow(X, colors, quotas)
+    assert calls == []
+    assert res.missed.tolist() == [0, 0]
+    want = np.concatenate([np.flatnonzero(colors == j)[:4] for j in range(2)])
+    assert res.indices.tolist() == want.tolist()
+    assert res.extras["gamma"] == 0.0
+
+
+@pytest.mark.parametrize("quotas", [[0, 0], [1, 0], [0, 1]])
+def test_fairgreedyflow_k_below_two_makes_no_guess(monkeypatch, quotas):
+    """As in MFD, k < 2 needs no gamma: k = 0 gives the empty set and
+    k = 1 the first row of the needed color."""
+    calls = _count_greedy_nets(monkeypatch)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 2)) * 100.0
+    colors = rng.integers(0, 2, size=30)
+    res = fairgreedyflow(X, colors, np.array(quotas))
+    assert calls == []
+    want = [int(np.flatnonzero(colors == j)[0]) for j in range(2) if quotas[j]]
+    assert res.indices.tolist() == want
+    assert res.missed.tolist() == [0, 0] and res.extras["gamma"] == 0.0

@@ -78,10 +78,15 @@ def test_pairs_within_includes_pair_at_exactly_r():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_dists_to_point(seed):
-    X = _rand(30, 5, seed)
-    p = _rand(1, 5, seed + 7)[0]
-    got = G.dists_to_point(X, p)
-    np.testing.assert_allclose(got, np.linalg.norm(X - p, axis=1))
+    """Close to the norm, and bitwise equal to the row-sum formula the
+    baselines used inline, for every dimension up to 9 (past numpy's
+    8-wide pairwise block): a faster kernel must keep this summation order."""
+    for d in range(1, 10):
+        X = _rand(200, d, seed)
+        p = _rand(1, d, seed + 7)[0]
+        got = G.dists_to_point(X, p)
+        np.testing.assert_allclose(got, np.linalg.norm(X - p, axis=1))
+        np.testing.assert_array_equal(got, np.sqrt(((X - p) ** 2).sum(axis=1)))
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (5, 1), (30, 2)])

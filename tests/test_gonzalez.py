@@ -4,11 +4,8 @@ import pytest
 
 from repro.core import exact
 from repro.core.geometry import diversity, pairwise_distances
-from repro.core.gonzalez import (
-    gonzalez,
-    gonzalez_order,
-    gonzalez_radius,
-)
+from repro.core.exact import gonzalez_radius
+from repro.core.gonzalez import gonzalez, gonzalez_order
 
 
 def _rand(n, d, seed):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.exact import fuzzy_ball_members
 from repro.core.kdtree import KDTree
 
 
@@ -152,7 +153,7 @@ def test_fuzzy_ball_members_matches_nodes():
     X = _rand(50, 2, 7)
     t = KDTree(X)
     x = X[3]
-    got = t.fuzzy_ball_members(x, 0.8, 0.5)
+    got = fuzzy_ball_members(t, x, 0.8, 0.5)
     nodes = t.canonical_nodes(x[None], 0.8, 0.5)[:, 1]
     assert got.tolist() == np.concatenate([t.points_under(u) for u in nodes]).tolist()
     dists = np.linalg.norm(X - x, axis=1)

@@ -229,3 +229,137 @@ def test_extras_record_stage_timings_and_counters(backend):
     assert counters["mwu_iterations"] == int(np.ceil(0.3 * np.ceil(6 * np.log(60))))
     assert counters["incidence_pairs"] >= 60  # every point covers itself
     assert counters["update"] in ("gather", "rows")
+
+
+@pytest.mark.parametrize("quotas", [[0, 0], [1, 0], [0, 1]])
+@pytest.mark.parametrize("solver", ["dense", "tree", "hp"])
+def test_k_below_two_tries_no_gamma(solver, quotas):
+    """With k < 2 there is no pair to keep apart, so no gamma is searched
+    (none is invented at a scale the data does not have): k = 0 gives the
+    empty set and k = 1 the first row of the needed color, with gamma 0."""
+    from repro.core.hp import mfd_hp
+
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 2)) * 100.0
+    colors = rng.integers(0, 2, size=30)
+    quotas = np.array(quotas)
+    if solver == "hp":
+        res = mfd_hp(X, colors, quotas, seed=0)
+    else:
+        res = mfd(X, colors, quotas, backend=solver, seed=0)
+    want = [int(np.flatnonzero(colors == j)[0]) for j in range(2) if quotas[j]]
+    assert res.indices.tolist() == want and res.indices.dtype == np.int64
+    assert res.gamma == 0.0 and res.n_mwu_rounds == 0
+    assert res.missed.tolist() == [0, 0]
+    assert res.extras["counters"]["incidence_pairs"] == 0
+    assert res.extras["counters"]["gamma_rounds"] == 0
+
+
+# The four gamma-search loops that the two shared ones replaced (MFD's two
+# schedules, FairGreedyFlow's and FMMD-S's), kept verbatim up to the call
+# signature as references.
+
+
+def _ref_mfd_wspd(attempt, Gamma):
+    rounds, feasible = 0, None
+    lo_i, hi_i = 0, len(Gamma) - 1
+    while lo_i <= hi_i:
+        mid = (lo_i + hi_i + 1) // 2
+        rounds += 1
+        got = attempt(float(Gamma[mid]))
+        if got is not None:
+            feasible = got
+            lo_i = mid + 1
+        else:
+            hi_i = mid - 1
+    return feasible, rounds
+
+
+def _ref_mfd_geometric(attempt, gamma, decay):
+    rounds, feasible = 0, None
+    floor = 1e-12 * max(gamma, 1.0)
+    while feasible is None and gamma >= floor:
+        rounds += 1
+        feasible = attempt(gamma)
+        gamma *= 1.0 - decay
+    return feasible, rounds
+
+
+def _ref_fairgreedyflow(attempt, gamma):
+    for _ in range(200):
+        got = attempt(gamma)
+        if got is not None:
+            return got
+        gamma *= 1.0 - 0.15
+    return None
+
+
+def _ref_fmmds(attempt, thresholds):
+    lo, hi = 0, len(thresholds) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        sol = attempt(float(thresholds[mid]))
+        if sol is not None:
+            best = sol
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return best
+
+
+def _probe(feasible):
+    """``attempt`` for a feasibility predicate: records every probe and
+    returns the probed value (and its position) when feasible."""
+    probes = []
+
+    def attempt(gamma):
+        probes.append(gamma)
+        return (gamma, len(probes)) if feasible(gamma) else None
+
+    return attempt, probes
+
+
+def _predicates(rng, values):
+    """A monotone predicate (feasible up to a threshold near the values)
+    and a non-monotone one (an arbitrary fixed subset of floats)."""
+    thr = float(rng.choice(values)) if len(values) and rng.random() < 0.8 else float(rng.normal())
+    salt = int(rng.integers(1 << 30))
+    return [lambda g: g <= thr, lambda g: hash((salt, g)) % 3 == 0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shared_searches_probe_as_the_replaced_loops(seed):
+    """On random candidate arrays, with monotone and non-monotone
+    feasibility, the shared searches probe the same gammas in the same
+    order and return the same result as the loops they replace."""
+    from repro.core.mfd import binary_search, geometric_descent
+
+    rng = np.random.default_rng(seed)
+    cands = np.unique(rng.exponential(size=int(rng.integers(0, 60))) * 10.0 ** rng.integers(-3, 4))
+    for feasible in _predicates(rng, cands):
+        new, new_probes = _probe(feasible)
+        old, old_probes = _probe(feasible)
+        assert binary_search(new, cands) == _ref_mfd_wspd(old, cands)
+        assert new_probes == old_probes
+        new, new_probes = _probe(feasible)
+        old, old_probes = _probe(feasible)
+        assert binary_search(new, cands)[0] == _ref_fmmds(old, cands[::-1])
+        assert new_probes == old_probes
+
+    start = float(rng.exponential() * 10.0 ** rng.integers(-3, 4)) if seed % 8 else 0.0
+    decay = float(rng.uniform(0.01, 0.5))
+    grid = start * (1.0 - decay) ** np.arange(40)
+    for feasible in _predicates(rng, grid):
+        new, new_probes = _probe(feasible)
+        old, old_probes = _probe(feasible)
+        assert geometric_descent(new, start, decay) == _ref_mfd_geometric(old, start, decay)
+        assert new_probes == old_probes
+        if start > 0:  # at start 0 the old FairGreedyFlow loop spun 200 times
+            new, new_probes = _probe(feasible)
+            old, old_probes = _probe(feasible)
+            got = geometric_descent(new, start)[0]
+            want = _ref_fairgreedyflow(old, start)
+            assert new_probes == old_probes[: len(new_probes)]
+            if got is not None or len(old_probes) <= len(new_probes):
+                assert got == want

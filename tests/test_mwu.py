@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import mwu
-from repro.core.exact import ball_matrix
+from repro.core.exact import ball_matrix, fuzzy_ball_members
 from repro.core.geometry import diversity, pairwise_distances
 from repro.core.kdtree import KDTree
 
@@ -35,7 +35,7 @@ def _reference_matrix(prob):
     n = len(prob.X)
     A = np.zeros((n, n))
     for ell in range(n):
-        A[ell, prob.tree.fuzzy_ball_members(prob.X[ell], prob.radius, prob.eps)] = 1.0
+        A[ell, fuzzy_ball_members(prob.tree, prob.X[ell], prob.radius, prob.eps)] = 1.0
     return A
 
 

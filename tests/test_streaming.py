@@ -4,7 +4,8 @@ import pytest
 
 from repro.baselines.sfdm2 import SFDM2, sfdm2_offline
 from repro.core.geometry import equal_quotas, pairwise_distances
-from repro.core.gonzalez import gonzalez, gonzalez_radius
+from repro.core.exact import gonzalez_radius
+from repro.core.gonzalez import gonzalez
 from repro.core.streaming import DoublingKCenter, StreamMFD, feed
 
 
