@@ -1,30 +1,22 @@
 """FairFlow baseline (Moumoulidou, McGregor, Meliou — ICDT 2021 [41]).
 
-Reimplemented from the paper's description (the original artifact uses
-networkx, unavailable offline): per-color Gonzalez candidates, a greedy
-net over the candidate union, and a max-flow assignment of colors to
-net clusters. Guarantee shape 1/(3m-1): in the paper's experiments this
-is the *fastest* algorithm but returns sets with much lower diversity
-than MFD — exactly the trade our implementation preserves.
+Reimplemented from the paper's description: per-color Gonzalez
+candidates, a greedy net over the candidate union, and a max-flow
+assignment of colors to net clusters. The original artifact's flows are
+networkx's; ours are :class:`repro.flow.dinic.Dinic`'s, which is faster
+here and fixes which max flow is found (see :mod:`repro.flow.dinic`).
+Guarantee shape 1/(3m-1): in the paper's experiments this is the
+*fastest* algorithm but returns sets with much lower diversity than MFD
+— exactly the trade our implementation preserves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core.geometry import diversity, dists_to_point, missed_per_color, pairwise_distances
+from ..core.geometry import diversity, dists_to_point, pairwise_distances
 from ..core.gonzalez import gonzalez
+from ..core.mfd import FairDivResult, check_instance
 from ..flow.dinic import Dinic
-
-
-@dataclass
-class BaselineResult:
-    indices: np.ndarray
-    diversity: float
-    colors: np.ndarray
-    missed: np.ndarray
-    extras: dict
 
 
 def _greedy_net(X: np.ndarray, sep: float) -> np.ndarray:
@@ -77,13 +69,11 @@ def _flow_select(
 
 def fairflow(
     X: np.ndarray, colors: np.ndarray, quotas: np.ndarray, *, seed: int | None = None
-) -> BaselineResult:
+) -> FairDivResult:
     """Run FairFlow on (X, colors) with per-color quotas."""
     from ..core.coreset import coreset_numpy
 
-    X = np.asarray(X, dtype=np.float64)
-    colors = np.asarray(colors, dtype=np.int64)
-    quotas = np.asarray(quotas, dtype=np.int64)
+    X, colors, quotas = check_instance(X, colors, quotas)
     m = len(quotas)
     k = int(quotas.sum())
     # Per-color Gonzalez candidates, k per color (the O(nk) stage).
@@ -97,12 +87,5 @@ def fairflow(
     centers = _greedy_net(U, sep)
     D = pairwise_distances(U, U[centers])
     clusters = np.argmin(D, axis=1)
-    sel_rows = _flow_select(U, u_colors, clusters, centers, quotas)
-    sel = cand_idx[sel_rows]
-    return BaselineResult(
-        indices=sel,
-        diversity=diversity(X[sel]),
-        colors=colors[sel],
-        missed=missed_per_color(colors[sel], quotas),
-        extras={"sep": sep, "n_clusters": len(centers)},
-    )
+    sel = cand_idx[_flow_select(U, u_colors, clusters, centers, quotas)]
+    return FairDivResult.of(X, colors, quotas, sel, sep=sep, n_clusters=len(centers))

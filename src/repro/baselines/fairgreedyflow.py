@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import mfd
-from ..core.geometry import diversity, missed_per_color, pairwise_distances, satisfies_quotas
-from .fairflow import BaselineResult, _flow_select, _greedy_net
+from ..core.geometry import pairwise_distances, satisfies_quotas
+from .fairflow import _flow_select, _greedy_net
 
 
 def fairgreedyflow(
@@ -30,10 +30,8 @@ def fairgreedyflow(
     quotas: np.ndarray,
     *,
     seed: int | None = None,
-) -> BaselineResult:
-    X = np.asarray(X, dtype=np.float64)
-    colors = np.asarray(colors, dtype=np.int64)
-    quotas = np.asarray(quotas, dtype=np.int64)
+) -> mfd.FairDivResult:
+    X, colors, quotas = mfd.check_instance(X, colors, quotas)
     m = len(quotas)
     k = int(quotas.sum())
 
@@ -45,10 +43,4 @@ def fairgreedyflow(
 
     found = mfd.geometric_descent(attempt, mfd.gamma_upper_bound(X, k))[0] if k >= 2 else None
     sel, gamma = found if found is not None else (mfd.fallback_selection(colors, quotas), 0.0)
-    return BaselineResult(
-        indices=sel,
-        diversity=diversity(X[sel]),
-        colors=colors[sel],
-        missed=missed_per_color(colors[sel], quotas),
-        extras={"gamma": gamma},
-    )
+    return mfd.FairDivResult.of(X, colors, quotas, sel, gamma=gamma)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.geometry import diversity, missed_per_color, pairwise_distances
+from ..core.geometry import pairwise_distances
 from ..core.gonzalez import gonzalez
-from ..core.mfd import binary_search
-from .fairflow import BaselineResult
+from ..core.mfd import FairDivResult, binary_search, check_instance
 
 
 class FMMDSBudgetExceeded(RuntimeError):
@@ -92,15 +91,13 @@ def fmmds(
     *,
     node_budget: int = 300_000,
     seed: int | None = None,
-) -> BaselineResult:
+) -> FairDivResult:
     """Run FMMD-S on (X, colors): exact threshold search over a candidate set.
 
     Raises :class:`FMMDSBudgetExceeded` when the exact IP search blows the
     node budget (recorded as DNF by the harness).
     """
-    X = np.asarray(X, dtype=np.float64)
-    colors = np.asarray(colors, dtype=np.int64)
-    quotas = np.asarray(quotas, dtype=np.int64)
+    X, colors, quotas = check_instance(X, colors, quotas)
     m = len(quotas)
     k = int(quotas.sum())
     # Candidate set: color-blind Gonzalez k plus per-color Gonzalez k_j
@@ -124,11 +121,5 @@ def fmmds(
     # a prefix of the ascending candidates: binary-search its last one.
     best = binary_search(feasible, np.unique(D[np.isfinite(D)]))[0]
     best_sel, best_gamma = best if best is not None else ([], 0.0)
-    sel = cand_idx[np.array(best_sel, dtype=np.int64)]
-    return BaselineResult(
-        indices=sel,
-        diversity=diversity(X[sel]),
-        colors=colors[sel],
-        missed=missed_per_color(colors[sel], quotas),
-        extras={"gamma": best_gamma, "n_candidates": len(U), "budget_left": budget[0]},
-    )
+    return FairDivResult.of(X, colors, quotas, cand_idx[best_sel], gamma=best_gamma,
+                            n_candidates=len(U), budget_left=budget[0])

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.geometry import diversity, dists_to_point, missed_per_color, pairwise_distances
-from ..core.mfd import gamma_upper_bound
+from ..core.geometry import dists_to_point, pairwise_distances
+from ..core.mfd import FairDivResult, check_instance, gamma_upper_bound
 from ..core.streaming import feed
-from .fairflow import BaselineResult
 
 
 class SFDM2:
@@ -35,6 +34,7 @@ class SFDM2:
         d_min: float,
         d_max: float,
     ):
+        self.d = int(d)
         self.quotas = np.asarray(quotas, dtype=np.int64)
         self.m = len(self.quotas)
         self.k = int(self.quotas.sum())
@@ -78,8 +78,10 @@ class SFDM2:
             len(c) for row in self.per_color for c in row
         )
 
-    def solution(self) -> BaselineResult:
-        """Post-processing: largest mu whose balanced set meets all quotas."""
+    def solution(self) -> FairDivResult:
+        """Post-processing: largest mu whose balanced set meets all quotas.
+        Indices number the selected points, which ``extras['points']`` holds
+        as a (|S|, d) array (empty when the threshold grid is)."""
         best_sel, best_colors, best_cover = None, None, -1
         for t in range(len(self.mus) - 1, -1, -1):
             mu = self.mus[t]
@@ -110,15 +112,10 @@ class SFDM2:
                 best_sel, best_colors = list(sel_pts), list(sel_colors)
             if np.all(used >= self.quotas):
                 break
-        pts = np.array(best_sel) if best_sel else np.empty((0, 1))
-        cols = np.array(best_colors, dtype=np.int64) if best_colors else np.empty(0, dtype=np.int64)
-        return BaselineResult(
-            indices=np.arange(len(pts)),
-            diversity=diversity(pts),
-            colors=cols,
-            missed=missed_per_color(cols, self.quotas),
-            extras={"points": pts, "n_thresholds": len(self.mus), "stored": self.stored_items()},
-        )
+        pts = np.array(best_sel or [], dtype=np.float64).reshape(-1, self.d)
+        cols = np.array(best_colors or [], dtype=np.int64)
+        return FairDivResult.of(pts, cols, self.quotas, np.arange(len(pts)), points=pts,
+                                n_thresholds=len(self.mus), stored=self.stored_items())
 
 
 def offline_bounds(Xc: np.ndarray, k: int) -> tuple[float, float]:
@@ -144,16 +141,14 @@ def sfdm2_offline(
     d_min: float | None = None,
     d_max: float | None = None,
     seed: int | None = None,
-) -> BaselineResult:
+) -> FairDivResult:
     """Run SFDM-2 as an offline baseline by streaming the rows of X once
     (this is how [50]'s algorithm is compared in the offline experiments).
     A bound left as None comes from :func:`offline_bounds` on the serial
     MFD coreset (k per color)."""
     from ..core.coreset import coreset_numpy
 
-    X = np.asarray(X, dtype=np.float64)
-    colors = np.asarray(colors, dtype=np.int64)
-    quotas = np.asarray(quotas, dtype=np.int64)
+    X, colors, quotas = check_instance(X, colors, quotas)
     if d_min is None or d_max is None:
         k = int(quotas.sum())
         sel, _ = coreset_numpy(X, colors, k)

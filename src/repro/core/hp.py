@@ -30,7 +30,7 @@ import numpy as np
 
 from . import mwu
 from .geometry import color_counts, pairs_within
-from .mfd import MFDResult, certify_and_round
+from .mfd import FairDivResult, certify_and_round
 
 
 def transform_to_separated(
@@ -70,7 +70,7 @@ def mfd_hp(
     g: float = 0.3,
     delta: float = 0.1,
     seed: int | None = None,
-) -> MFDResult:
+) -> FairDivResult:
     """Theorem 3.3: constant approximation with fairness holding w.p. >= 1-delta
     (given large-enough k_j; for small k_j the repeats still help).
     ``extras['r_reject']`` is the rejection radius, a lower bound on div(S)."""

@@ -16,7 +16,9 @@ choices the authors made in their own artifact):
 (:func:`certify_and_round`); every solve on a coreset or synopsis goes
 through :func:`solve_coreset`, the one place that decides quotas. The two
 search loops, :func:`geometric_descent` and :func:`binary_search`, are
-also those of the FairGreedyFlow and FMMD-S baselines.
+also those of the FairGreedyFlow and FMMD-S baselines. MFD and every
+baseline check their input with :func:`check_instance` and answer with a
+:class:`FairDivResult` built by :meth:`FairDivResult.of`.
 
 Run directly on a point set this is Theorem 3.2; run on the Section 4
 coreset (see :mod:`repro.core.coreset`) it is Corollary 4.3 — the
@@ -38,16 +40,39 @@ from .wspd import candidate_distances
 
 
 @dataclass
-class MFDResult:
-    """Outcome of one MFD run."""
+class FairDivResult:
+    """Outcome of one FairDiv solve, the same for MFD and every baseline."""
 
-    indices: np.ndarray  # selected row indices into the input X
-    gamma: float  # the feasible candidate diversity certified by MWU
+    indices: np.ndarray  # selected row indices into the input X (int64)
+    gamma: float  # the certified (or best feasible) guess; 0 if none
     diversity: float  # realized div(S)
     colors: np.ndarray  # colors of the selected points
     missed: np.ndarray  # per-color shortfall vs quotas (Table 4 metric)
-    n_mwu_rounds: int  # number of gamma values tried
+    n_mwu_rounds: int  # number of gamma values MWU tried
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, X, colors, quotas, sel, *, gamma=0.0, rounds=0, **extras) -> "FairDivResult":
+        """The result that selects rows ``sel`` of ``(X, colors)``: div(S),
+        the selected colors and the misses against ``quotas`` are computed
+        here, and nowhere else."""
+        sel = np.asarray(sel, dtype=np.int64)
+        sel_colors = colors[sel]
+        missed = missed_per_color(sel_colors, quotas)
+        return cls(sel, gamma, diversity(X[sel]), sel_colors, missed, rounds, extras)
+
+
+def check_instance(X, colors, quotas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, colors, quotas)`` as float64, int64 and int64 arrays. Raises
+    ``ValueError`` for a non-finite coordinate or a color id outside
+    [0, m), m = len(quotas); quotas a color cannot meet are not checked."""
+    X = np.asarray(X, dtype=np.float64)
+    colors = np.asarray(colors, dtype=np.int64)
+    quotas = np.asarray(quotas, dtype=np.int64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X has non-finite coordinates (NaN or inf)")
+    color_counts(colors, len(quotas))  # raises on an id outside [0, m)
+    return X, colors, quotas
 
 
 def gamma_upper_bound(X: np.ndarray, k: int) -> float:
@@ -113,10 +138,10 @@ def certify_and_round(
     decay: float = 0.15,
     gamma_schedule: str = "geometric",
     backend: str = "dense",
-) -> MFDResult:
-    """Algorithm 1: validate the input (finite coordinates, color ids in
-    [0, m), quotas the colors can meet, a finite ``eps`` > 0, a known
-    ``backend`` and ``gamma_schedule``; ``ValueError`` otherwise), search
+) -> FairDivResult:
+    """Algorithm 1: validate the input (:func:`check_instance`, then quotas
+    the colors can meet, a finite ``eps`` > 0, a known ``backend`` and
+    ``gamma_schedule``; ``ValueError`` otherwise), search
     for the largest gamma whose LP2 MWU certifies feasible
     (:func:`binary_search` over the WSPD candidates, or
     :func:`geometric_descent` from :func:`gamma_upper_bound`, at most ~170
@@ -142,11 +167,7 @@ def certify_and_round(
         raise ValueError(f"backend must be 'dense' or 'tree'; got {backend!r}")
     if gamma_schedule not in ("geometric", "wspd"):
         raise ValueError(f"gamma_schedule must be 'geometric' or 'wspd'; got {gamma_schedule!r}")
-    X = np.asarray(X, dtype=np.float64)
-    colors = np.asarray(colors, dtype=np.int64)
-    quotas = np.asarray(quotas, dtype=np.int64)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X has non-finite coordinates (NaN or inf)")
+    X, colors, quotas = check_instance(X, colors, quotas)
     counts = color_counts(colors, len(quotas))
     if np.any(counts < quotas):
         raise ValueError(f"infeasible quotas: need {quotas.tolist()}, have {counts.tolist()}")
@@ -187,17 +208,8 @@ def certify_and_round(
         timings["round_s"] = time.perf_counter() - t0
         gamma, inc = prob.gamma, prob.incidence
         counters.update(incidence_pairs=len(inc.cover_pt), update="gather" if inc.gathers(k) else "rows")
-    extras.update(timings=timings, counters=counters)
-    sel_colors = colors[sel]
-    return MFDResult(
-        indices=sel,
-        gamma=gamma,
-        diversity=diversity(X[sel]),
-        colors=sel_colors,
-        missed=missed_per_color(sel_colors, quotas),
-        n_mwu_rounds=rounds,
-        extras=extras,
-    )
+    return FairDivResult.of(X, colors, quotas, sel, gamma=gamma, rounds=rounds, **extras,
+                            timings=timings, counters=counters)
 
 
 def mfd(
@@ -212,7 +224,7 @@ def mfd(
     backend: str = "dense",
     trim: bool = False,
     seed: int | None = None,
-) -> MFDResult:
+) -> FairDivResult:
     """Solve FairDiv on ``(X, colors)`` with per-color quotas.
 
     The gamma search is :func:`certify_and_round`'s. ``backend`` picks the
@@ -259,7 +271,7 @@ def mfd_spark(
     *,
     per_color_k: int | None = None,
     **mfd_kwargs,
-) -> MFDResult:
+) -> FairDivResult:
     """Corollary 4.3 as one call: distributed per-color coreset over the
     Spark DataFrame (the only O(n) stage), then :func:`solve_coreset` on
     the O(mk) coreset on the driver (``per_color_k`` defaults to k).

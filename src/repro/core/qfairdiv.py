@@ -25,7 +25,7 @@ import numpy as np
 
 from .gonzalez import gonzalez
 from .kdtree import KDTree
-from .mfd import MFDResult, solve_coreset
+from .mfd import FairDivResult, solve_coreset
 
 
 class QFairDivIndex:
@@ -64,15 +64,14 @@ class QFairDivIndex:
         eps: float = 1.0,
         g: float = 0.3,
         seed: int | None = None,
-    ) -> MFDResult:
+    ) -> FairDivResult:
         """FairDiv on P ∩ [lo, hi]. MFD runs on the range's coreset through
         :func:`repro.core.mfd.solve_coreset`: it is asked for what the
         coreset holds of each color, and ``missed`` counts the requested
         quotas the range cannot meet (a color absent from R misses its
         whole quota). Indices refer to rows of the indexed point set."""
-        quotas = np.asarray(quotas, dtype=np.int64)
-        k = int(quotas.sum())
-        core_rows: list[np.ndarray] = []
+        k = int(np.sum(quotas))
+        core_rows = [np.empty(0, dtype=np.int64)]  # an empty range: an empty coreset
         for j in range(self.m):
             t = self.trees[j]
             if t is None:
@@ -86,9 +85,6 @@ class QFairDivIndex:
             cand = t.X[prefix_rows]
             sel = gonzalez(cand, min(k, len(cand)))
             core_rows.append(self.color_rows[j][prefix_rows[sel]])
-        if not core_rows:
-            empty = np.empty(0, dtype=np.int64)
-            return MFDResult(empty, 0.0, float("inf"), empty, quotas.copy(), 0)
         rows = np.concatenate(core_rows)
         res = solve_coreset(self.X[rows], self.colors[rows], quotas, eps=eps, g=g, seed=seed)
         res.indices = rows[res.indices]

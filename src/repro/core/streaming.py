@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .geometry import dists_to_point
-from .mfd import MFDResult, solve_coreset
+from .mfd import FairDivResult, solve_coreset
 
 
 class DoublingKCenter:
@@ -103,7 +103,7 @@ class StreamMFD:
         eps: float = 1.0,
         g: float = 0.3,
         seed: int | None = None,
-    ) -> MFDResult:
+    ) -> FairDivResult:
         """Post-processing: MFD on the synopsis (O(m k^2 log^3 k)) through
         :func:`repro.core.mfd.solve_coreset`. A synopsis holding fewer than
         k_j points of color j shows as a miss, with the per-color synopsis

@@ -100,12 +100,12 @@ def dataset_pandas(name: str, *, scale: float = 1.0, seed: int = 0) -> tuple[pd.
 
 
 def dataset_spark(spark, name: str, *, scale: float = 1.0, seed: int = 0, n_partitions: int | None = None):
-    """Same dataset as a Spark DataFrame (plus metadata)."""
-    pdf, meta = dataset_pandas(name, scale=scale, seed=seed)
-    sdf = spark.createDataFrame(pdf)
-    if n_partitions:
-        sdf = sdf.repartition(n_partitions)
-    return sdf, meta
+    """Same dataset as a Spark DataFrame (plus metadata), ingested by
+    :func:`repro.core.coreset.to_spark_points`."""
+    from ..core.coreset import to_spark_points  # keeps pyspark out of the numpy-only paths
+
+    X, colors, meta = dataset_arrays(name, scale=scale, seed=seed)
+    return to_spark_points(spark, X, colors, n_partitions=n_partitions), meta
 
 
 def dataset_arrays(name: str, *, scale: float = 1.0, seed: int = 0) -> tuple[np.ndarray, np.ndarray, DatasetMeta]:

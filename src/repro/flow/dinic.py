@@ -2,9 +2,13 @@
 
 FairFlow [41] and FairGreedyFlow [7] both reduce fair selection to a
 max-flow feasibility problem on a graph with O(mk) nodes and O(mk^2)
-edges; the original artifacts used networkx's Ford–Fulkerson, which is
-unavailable offline, so we implement Dinic's algorithm (strictly better
-asymptotics, same answers). Integer capacities.
+edges. The original artifacts used networkx's flows; we keep Dinic's
+algorithm (integer capacities) for two reasons. It is about twice as fast
+there: FairGreedyFlow on the census coreset at k = 100 took 0.052 s,
+against 0.093–0.096 s with networkx's flow functions. And the max flow it
+finds is fixed by this code, not by a library default: networkx's
+``preflow_push`` picks a different max flow on beer at k = 20, which moves
+FairGreedyFlow's diversity from 4.87 to 5.70.
 """
 from __future__ import annotations
 

@@ -126,7 +126,7 @@ def test_fairgreedyflow_makes_no_guess_at_gamma_zero(monkeypatch):
     assert res.missed.tolist() == [0, 0]
     want = np.concatenate([np.flatnonzero(colors == j)[:4] for j in range(2)])
     assert res.indices.tolist() == want.tolist()
-    assert res.extras["gamma"] == 0.0
+    assert res.gamma == 0.0
 
 
 @pytest.mark.parametrize("quotas", [[0, 0], [1, 0], [0, 1]])
@@ -141,4 +141,4 @@ def test_fairgreedyflow_k_below_two_makes_no_guess(monkeypatch, quotas):
     assert calls == []
     want = [int(np.flatnonzero(colors == j)[0]) for j in range(2) if quotas[j]]
     assert res.indices.tolist() == want
-    assert res.missed.tolist() == [0, 0] and res.extras["gamma"] == 0.0
+    assert res.missed.tolist() == [0, 0] and res.gamma == 0.0

@@ -148,12 +148,19 @@ def test_mfd_spark_coreset_smaller_than_quota_shows_as_miss(spark):
     assert res.missed.tolist() == missed_per_color(res.colors, quotas).tolist()
 
 
-@pytest.mark.parametrize("solver", ["dense", "tree", "hp", "coreset"])
+@pytest.mark.parametrize(
+    "solver", ["dense", "tree", "hp", "coreset", "fairflow", "fairgreedyflow", "fmmds", "sfdm2_offline"]
+)
 @pytest.mark.parametrize("bad", ["nan", "inf", "color_ge_m", "negative_color"])
 def test_bad_input_raises_value_error(bad, solver):
     """Non-finite coordinates and color ids outside [0, m) are rejected
-    with a clear ValueError by every entry point, not turned into a nan
-    diversity or a numpy broadcast error."""
+    with a clear ValueError by every entry point, the baselines included,
+    not turned into a nan diversity, a numpy broadcast error or a silent
+    answer that ignores the stray color."""
+    from repro.baselines.fairflow import fairflow
+    from repro.baselines.fairgreedyflow import fairgreedyflow
+    from repro.baselines.fmmds import fmmds
+    from repro.baselines.sfdm2 import sfdm2_offline
     from repro.core.hp import mfd_hp
     from repro.core.mfd import solve_coreset
 
@@ -171,6 +178,10 @@ def test_bad_input_raises_value_error(bad, solver):
         "tree": lambda: mfd(X, colors, np.array([2, 2]), backend="tree", seed=0),
         "hp": lambda: mfd_hp(X, colors, np.array([2, 2]), seed=0),
         "coreset": lambda: solve_coreset(X, colors, np.array([2, 2]), seed=0),
+        "fairflow": lambda: fairflow(X, colors, np.array([2, 2])),
+        "fairgreedyflow": lambda: fairgreedyflow(X, colors, np.array([2, 2])),
+        "fmmds": lambda: fmmds(X, colors, np.array([2, 2])),
+        "sfdm2_offline": lambda: sfdm2_offline(X, colors, np.array([2, 2]), eps=0.5),
     }[solver]
     with pytest.raises(ValueError, match="non-finite|color ids"):
         run()

@@ -158,6 +158,18 @@ def test_streammfd_solution_before_any_insert():
     assert res.extras["synopsis_points"].shape == (0, 2)
 
 
+def test_sfdm2_solution_with_an_empty_threshold_grid():
+    """d_min above d_max leaves SFDM-2 no threshold: the answer is empty,
+    its points are a (0, d) array and it misses every quota."""
+    colors = np.arange(10) % 2
+    res = sfdm2_offline(np.zeros((10, 3)), colors, np.array([1, 1]), eps=0.5, d_min=5.0)
+    assert res.extras["n_thresholds"] == 0
+    assert len(res.indices) == 0 and res.indices.dtype == np.int64
+    assert res.colors.dtype == np.int64 and len(res.colors) == 0
+    assert res.missed.tolist() == [1, 1]
+    assert res.extras["points"].shape == (0, 3)
+
+
 def test_streammfd_synopsis_shortfall_reported_against_requested_quotas():
     """A synopsis holding fewer than k_0 points of color 0 cannot meet k_0:
     the shortfall is a miss, and extras['held'] shows it."""
