@@ -67,9 +67,7 @@ def _flow_select(
     return sel
 
 
-def fairflow(
-    X: np.ndarray, colors: np.ndarray, quotas: np.ndarray, *, seed: int | None = None
-) -> FairDivResult:
+def fairflow(X: np.ndarray, colors: np.ndarray, quotas: np.ndarray) -> FairDivResult:
     """Run FairFlow on (X, colors) with per-color quotas."""
     from ..core.coreset import coreset_numpy
 

@@ -24,13 +24,7 @@ from ..core.geometry import pairwise_distances, satisfies_quotas
 from .fairflow import _flow_select, _greedy_net
 
 
-def fairgreedyflow(
-    X: np.ndarray,
-    colors: np.ndarray,
-    quotas: np.ndarray,
-    *,
-    seed: int | None = None,
-) -> mfd.FairDivResult:
+def fairgreedyflow(X: np.ndarray, colors: np.ndarray, quotas: np.ndarray) -> mfd.FairDivResult:
     X, colors, quotas = mfd.check_instance(X, colors, quotas)
     m = len(quotas)
     k = int(quotas.sum())

@@ -90,7 +90,6 @@ def fmmds(
     quotas: np.ndarray,
     *,
     node_budget: int = 300_000,
-    seed: int | None = None,
 ) -> FairDivResult:
     """Run FMMD-S on (X, colors): exact threshold search over a candidate set.
 

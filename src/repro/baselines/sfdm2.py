@@ -19,11 +19,15 @@ import numpy as np
 
 from ..core.geometry import dists_to_point, pairwise_distances
 from ..core.mfd import FairDivResult, check_instance, gamma_upper_bound
-from ..core.streaming import feed
+from ..core.streaming import check_arrival, feed
 
 
 class SFDM2:
-    """Streaming state for SFDM-2. Feed points via :meth:`insert`."""
+    """Streaming state for SFDM-2. Feed points via :meth:`insert`.
+
+    Raises ``ValueError`` for an ``eps`` that is not finite and > 0 and for
+    a non-finite ``d_min`` or ``d_max * (1 + eps)``; with eps <= 0 or an
+    infinite upper end the threshold-grid loop would never end."""
 
     def __init__(
         self,
@@ -34,6 +38,10 @@ class SFDM2:
         d_min: float,
         d_max: float,
     ):
+        if not (np.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and > 0; got {eps}")
+        if not (np.isfinite(d_min) and np.isfinite(d_max * (1 + eps))):
+            raise ValueError(f"d_min and d_max * (1 + eps) must be finite; got {d_min}, {d_max}")
         self.d = int(d)
         self.quotas = np.asarray(quotas, dtype=np.int64)
         self.m = len(self.quotas)
@@ -52,13 +60,10 @@ class SFDM2:
         self.n_seen = 0
 
     def insert(self, p: np.ndarray, color: int) -> None:
-        """One streaming arrival: O(|M| * k) distance work. Raises
-        ``ValueError`` for a color id outside ``[0, m)``."""
-        color = int(color)
-        if not 0 <= color < self.m:
-            raise ValueError(f"color id must lie in [0, {self.m}); got {color}")
+        """One streaming arrival: O(|M| * k) distance work, after
+        :func:`repro.core.streaming.check_arrival`."""
+        p, color = check_arrival(p, color, self.m)
         self.n_seen += 1
-        p = np.asarray(p, dtype=np.float64)
         for t, mu in enumerate(self.mus):
             G = self.glob[t]
             if len(G) < self.k and (
@@ -140,7 +145,6 @@ def sfdm2_offline(
     eps: float,
     d_min: float | None = None,
     d_max: float | None = None,
-    seed: int | None = None,
 ) -> FairDivResult:
     """Run SFDM-2 as an offline baseline by streaming the rows of X once
     (this is how [50]'s algorithm is compared in the offline experiments).

@@ -123,7 +123,8 @@ def binary_search(attempt: Callable[[float], object], candidates: np.ndarray):
 
 def fallback_selection(colors: np.ndarray, quotas: np.ndarray) -> np.ndarray:
     """The first k_j rows of each color j: the fair set returned, with gamma 0,
-    when no gamma is certified."""
+    when no gamma is certified, and the cut of Round's picks in
+    :func:`certify_and_round`."""
     return np.concatenate([np.flatnonzero(colors == j)[:q] for j, q in enumerate(quotas)])
 
 
@@ -146,7 +147,9 @@ def certify_and_round(
     (:func:`binary_search` over the WSPD candidates, or
     :func:`geometric_descent` from :func:`gamma_upper_bound`, at most ~170
     rounds), and round its x_hat with ``rounding(prob, xhat) -> (indices,
-    extras)``. If no gamma is certified, the result is
+    extras)``. The answer is the first k_j picks of each color j of
+    Round's set, in sampling order, so |S(c_j)| <= k_j. If no gamma is
+    certified, the result is
     :func:`fallback_selection`, a fair set, with gamma 0. That is always so
     when X has fewer than k distinct locations: the upper bound is then 0
     and every fair set is optimal. With k < 2 (an empty X included) no
@@ -158,8 +161,9 @@ def certify_and_round(
     neighborhood builds and the MWU loops summed over the gamma rounds;
     ``round_s``) and ``counters`` (``gamma_rounds``; ``mwu_iterations``,
     T per round; and for the certified gamma ``incidence_pairs``, B's
-    (point, node) pairs, and ``update``, the Update read, ``"gather"`` or
-    ``"rows"``: 0 and None if no gamma was certified).
+    (point, node) pairs, ``raw_size``, |S| before the cut, and ``update``,
+    the Update read, ``"gather"`` or ``"rows"``: 0, 0 and None if no gamma
+    was certified).
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0; got {eps}")
@@ -198,7 +202,7 @@ def certify_and_round(
             feasible, rounds = geometric_descent(attempt, start, decay)
 
     counters = {"gamma_rounds": rounds, "mwu_iterations": mwu.iterations(len(X), k, eps, g) if rounds else 0,
-                "incidence_pairs": 0, "update": None}
+                "incidence_pairs": 0, "raw_size": 0, "update": None}
     if feasible is None:
         sel, gamma, extras = fallback_selection(colors, quotas), 0.0, {}
     else:
@@ -207,7 +211,9 @@ def certify_and_round(
         sel, extras = rounding(prob, xhat)
         timings["round_s"] = time.perf_counter() - t0
         gamma, inc = prob.gamma, prob.incidence
-        counters.update(incidence_pairs=len(inc.cover_pt), update="gather" if inc.gathers(k) else "rows")
+        counters.update(incidence_pairs=len(inc.cover_pt), raw_size=len(sel),
+                        update="gather" if inc.gathers(k) else "rows")
+        sel = sel[np.sort(fallback_selection(colors[sel], quotas))]
     return FairDivResult.of(X, colors, quotas, sel, gamma=gamma, rounds=rounds, **extras,
                             timings=timings, counters=counters)
 
@@ -222,7 +228,6 @@ def mfd(
     decay: float = 0.15,
     gamma_schedule: str = "geometric",
     backend: str = "dense",
-    trim: bool = False,
     seed: int | None = None,
 ) -> FairDivResult:
     """Solve FairDiv on ``(X, colors)`` with per-color quotas.
@@ -232,19 +237,16 @@ def mfd(
     :mod:`repro.core.mwu`): ``'dense'`` uses exact balls (right choice at
     coreset scale); ``'tree'`` uses a BBD-style KD-tree's canonical-node
     covers, the paper's Algorithms 2–4. Round is Algorithm 4 at the LP2
-    radius. ``extras['lp2_violation']`` is the additive error of
-    Constraints (11) over those neighborhoods at the certified gamma.
-    ``trim`` optionally drops surplus points of over-quota colors (in
-    reverse sampling order) — diversity can only increase; the default
-    False matches the paper's rounding output.
+    radius; of its picks, :func:`certify_and_round` keeps the first k_j
+    of each color j (the paper returns them all), so |S(c_j)| <= k_j and
+    div(S) can only grow. ``extras['lp2_violation']`` is the additive
+    error of Constraints (11) over those neighborhoods at the certified
+    gamma.
     """
     rng = np.random.default_rng(seed)
 
     def rounding(prob: mwu.MWUProblem, xhat: np.ndarray):
-        sel = mwu.round_solution(prob, xhat, rng)
-        if trim:
-            sel = _trim_to_quotas(sel, prob.colors, prob.quotas)
-        return sel, {"lp2_violation": mwu.lp2_violation(prob, xhat)}
+        return mwu.round_solution(prob, xhat, rng), {"lp2_violation": mwu.lp2_violation(prob, xhat)}
 
     return certify_and_round(X, colors, quotas, rounding, eps=eps, g=g, decay=decay,
                              gamma_schedule=gamma_schedule, backend=backend)
@@ -265,37 +267,21 @@ def solve_coreset(Xc: np.ndarray, cc: np.ndarray, quotas: np.ndarray, *, solver=
     return res
 
 
-def mfd_spark(
-    df,
-    quotas: np.ndarray,
-    *,
-    per_color_k: int | None = None,
-    **mfd_kwargs,
-) -> FairDivResult:
+def mfd_spark(df, quotas: np.ndarray, **mfd_kwargs) -> FairDivResult:
     """Corollary 4.3 as one call: distributed per-color coreset over the
-    Spark DataFrame (the only O(n) stage), then :func:`solve_coreset` on
-    the O(mk) coreset on the driver (``per_color_k`` defaults to k).
-    ``extras['timings']`` adds the wall seconds of the two stages
-    (``coreset_s``, ``solve_s``) to the solve's own; indices refer to
-    coreset rows, with the selected coordinates in ``extras['points']``."""
+    Spark DataFrame (the only O(n) stage, k points per color), then
+    :func:`solve_coreset` on the O(mk) coreset on the driver, which returns
+    at most k_j points of color j. ``extras['timings']`` adds the wall
+    seconds of the two stages (``coreset_s``, ``solve_s``) to the solve's
+    own; indices refer to coreset rows, with the selected coordinates in
+    ``extras['points']``."""
     from .coreset import coreset_arrays
 
     k = int(np.sum(quotas))
     t0 = time.perf_counter()
-    Xc, cc = coreset_arrays(df, per_color_k or k)
+    Xc, cc = coreset_arrays(df, k)
     t1 = time.perf_counter()
     res = solve_coreset(Xc, cc, quotas, **mfd_kwargs)
     res.extras["timings"].update(coreset_s=t1 - t0, solve_s=time.perf_counter() - t1)
     return res
 
-
-def _trim_to_quotas(sel: np.ndarray, colors: np.ndarray, quotas: np.ndarray) -> np.ndarray:
-    """Drop surplus points of over-quota colors, latest-sampled first."""
-    keep = []
-    used = np.zeros(len(quotas), dtype=np.int64)
-    for i in sel:  # sel is in sampling order: earlier samples are "safer"
-        c = colors[i]
-        if used[c] < quotas[c]:
-            keep.append(int(i))
-            used[c] += 1
-    return np.array(keep, dtype=np.int64)

@@ -62,10 +62,6 @@ class DoublingKCenter:
                 keep.append(i)
         return C[keep]
 
-    @property
-    def centers(self) -> np.ndarray:
-        return self.C
-
 
 class StreamMFD:
     """SFairDiv solver: per-color doubling synopses + MFD post-processing."""
@@ -76,11 +72,8 @@ class StreamMFD:
         self.n_seen = 0
 
     def insert(self, p: np.ndarray, color: int) -> None:
-        """O(k) update (Theorem 5.1). Raises ``ValueError`` for a color id
-        outside ``[0, m)``."""
-        color = int(color)
-        if not 0 <= color < self.m:
-            raise ValueError(f"color id must lie in [0, {self.m}); got {color}")
+        """O(k) update (Theorem 5.1); :func:`check_arrival` first."""
+        p, color = check_arrival(p, color, self.m)
         self.n_seen += 1
         self.instances[color].insert(p)
 
@@ -92,8 +85,8 @@ class StreamMFD:
         """The maintained coreset as (X, colors) arrays."""
         Xs, cs = [], []
         for j, inst in enumerate(self.instances):
-            Xs.append(inst.centers)
-            cs.append(np.full(len(inst.centers), j, dtype=np.int64))
+            Xs.append(inst.C)
+            cs.append(np.full(len(inst.C), j, dtype=np.int64))
         return np.concatenate(Xs, axis=0), np.concatenate(cs)
 
     def solution(
@@ -113,6 +106,18 @@ class StreamMFD:
         res = solve_coreset(Xc, cc, quotas, eps=eps, g=g, seed=seed)
         res.extras["synopsis_points"] = res.extras["points"]
         return res
+
+
+def check_arrival(p, color, m: int) -> tuple[np.ndarray, int]:
+    """One stream arrival as a float64 point and an int color. Raises
+    ``ValueError``, on arrival, for a non-finite coordinate or a color id
+    outside ``[0, m)``."""
+    p, color = np.asarray(p, dtype=np.float64), int(color)
+    if not 0 <= color < m:
+        raise ValueError(f"color id must lie in [0, {m}); got {color}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"stream point has non-finite coordinates (NaN or inf): {p.tolist()}")
+    return p, color
 
 
 def feed(inst, X: np.ndarray, colors: np.ndarray, *, deadline: float = np.inf) -> bool:

@@ -132,7 +132,8 @@ def run_algo(
     timeout_s: float = 600.0,
     fmmds_budget: int = 300_000,
 ) -> tuple[float, float, np.ndarray, bool, str]:
-    """One run of ``algo`` (an :data:`ALGOS` label or ``MFD-<g>``).
+    """One run of ``algo`` (an :data:`ALGOS` label or ``MFD-<g>``); ``seed``
+    draws MFD's rounding, the baselines draw nothing.
     Returns (diversity, runtime_s, missed, dnf, note)."""
     Xc, cc = coreset
     t0 = time.perf_counter()
@@ -142,13 +143,13 @@ def run_algo(
             res = solve_coreset(Xc, cc, quotas, seed=seed, **early_stop)
             dt = time.perf_counter() - t0 + coreset_time
         elif algo == "FairFlow":
-            res = fairflow(X, colors, quotas, seed=seed)
+            res = fairflow(X, colors, quotas)
             dt = time.perf_counter() - t0
         elif algo == "FairGreedyFlow":
-            res = solve_coreset(Xc, cc, quotas, solver=fairgreedyflow, seed=seed)
+            res = solve_coreset(Xc, cc, quotas, solver=fairgreedyflow)
             dt = time.perf_counter() - t0 + coreset_time
         elif algo == "FMMD-S":
-            res = fmmds(X, colors, quotas, node_budget=fmmds_budget, seed=seed)
+            res = fmmds(X, colors, quotas, node_budget=fmmds_budget)
             dt = time.perf_counter() - t0
         elif algo.startswith("SFDM-2"):
             eps = 0.15 if ".15" in algo else 0.75

@@ -55,7 +55,7 @@ def test_tracer_wraps_mfd_layers(bench, backend):
     expect |= {"kdtree.build", "kdtree.canonical"} if backend == "tree" else {"geometry.pairwise"}
     assert expect <= names, expect - names
     assert tr.counts[(None, "mfd.gamma_rounds")] == res.n_mwu_rounds
-    assert tr.counts[(None, "mwu.round_selected")] == len(res.indices)
+    assert tr.counts[(None, "mwu.round_selected")] == res.extras["counters"]["raw_size"]
     if backend == "tree":
         # One batched canonical query per candidate gamma.
         assert tr.counts[(None, "kdtree.canonical_calls")] == res.n_mwu_rounds

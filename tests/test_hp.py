@@ -99,15 +99,25 @@ def test_hp_vs_expectation_variant_diversity_tradeoff():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_hp_selection_is_maximal(seed):
+def test_hp_selection_is_maximal(seed, monkeypatch):
     """Algorithm 4 keeps sampling until nothing is left: every positive-y_hat
-    point lies within r_reject of a selected point."""
+    point lies within r_reject of a point of each Round output (the answer
+    is then cut to the quotas)."""
     from repro.core import mwu
 
+    raw, round_solution = [], mwu.round_solution
+
+    def recording(*args):
+        raw.append(round_solution(*args))
+        return raw[-1]
+
+    monkeypatch.setattr(mwu, "round_solution", recording)
     X, colors = _instance(80, 3, seed)
     quotas = np.array([3, 3, 3])
     res = mfd_hp(X, colors, quotas, eps=1.0, g=0.5, seed=seed)
     prob = mwu.MWUProblem(X, colors, quotas, res.gamma, 1.0)
     yhat = transform_to_separated(X, colors, mwu.solve(prob, g=0.5), res.gamma, 1.0)
-    D = pairwise_distances(X[yhat > 0], X[res.indices])
-    assert np.all(D.min(axis=1) <= res.extras["r_reject"] + 1e-9)
+    assert raw
+    for sel in raw:
+        D = pairwise_distances(X[yhat > 0], X[sel])
+        assert np.all(D.min(axis=1) <= res.extras["r_reject"] + 1e-9)

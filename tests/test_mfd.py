@@ -66,15 +66,34 @@ def test_mfd_fairness_in_expectation(m, k):
 
 
 def test_mfd_trim_keeps_fairness_and_improves_div():
+    """certify_and_round cuts Round's raw output to the first k_j picks of
+    each color j, in sampling order: the misses stay Round's, div(S) can
+    only grow, and counters['raw_size'] is the size before the cut."""
+    from repro.core import mwu
+    from repro.core.geometry import diversity
+    from repro.core.mfd import certify_and_round
+
     X, colors = _instance(100, 2, 3, seed=11)
-    quotas = np.array([3, 3, 3])
-    raw = mfd(X, colors, quotas, seed=3, trim=False)
-    trm = mfd(X, colors, quotas, seed=3, trim=True)
-    assert len(trm.indices) <= len(raw.indices)
-    assert trm.diversity >= raw.diversity - 1e-9
-    np.testing.assert_array_equal(
-        missed_per_color(trm.colors, quotas), trm.missed
-    )
+    quotas = np.array([5, 5, 5])
+    rng = np.random.default_rng(3)
+    raw = []
+
+    def rounding(prob, xhat):
+        raw.append(mwu.round_solution(prob, xhat, rng))
+        return raw[-1], {}
+
+    res = certify_and_round(X, colors, quotas, rounding, eps=1.0, g=0.3)
+    (sel,) = raw
+    want, used = [], np.zeros(3, dtype=np.int64)
+    for i in sel:
+        if used[colors[i]] < quotas[colors[i]]:
+            want.append(int(i))
+            used[colors[i]] += 1
+    assert len(sel) > len(want)  # Round overshoots here
+    assert res.indices.tolist() == want
+    assert res.extras["counters"]["raw_size"] == len(sel)
+    assert res.diversity >= diversity(X[sel])
+    np.testing.assert_array_equal(res.missed, missed_per_color(colors[sel], quotas))
 
 
 def test_mfd_wspd_schedule_close_to_geometric():
@@ -134,15 +153,16 @@ def test_fewer_distinct_locations_than_k_gives_fair_set(solver):
 
 
 def test_mfd_spark_coreset_smaller_than_quota_shows_as_miss(spark):
-    """per_color_k=3 < k_0=4: the coreset holds 3 points of color 0, and
-    the missing one is reported against the requested quota."""
-    from repro.core.coreset import to_spark_points
-    from repro.core.mfd import mfd_spark
+    """A Spark coreset of 3 points per color < k_0 = 4 holds 3 points of
+    color 0, and the missing one is reported against the requested quota."""
+    from repro.core.coreset import coreset_arrays, to_spark_points
+    from repro.core.mfd import solve_coreset
 
     X, colors = _instance(300, 2, 3, seed=4)
     df = to_spark_points(spark, X, colors, n_partitions=4)
     quotas = np.array([4, 2, 2])
-    res = mfd_spark(df, quotas, per_color_k=3, seed=0)
+    Xc, cc = coreset_arrays(df, 3)
+    res = solve_coreset(Xc, cc, quotas, seed=0)
     assert res.extras["held"].tolist() == [3, 3, 3]
     assert res.missed[0] == 4 - np.sum(res.colors == 0) > 0
     assert res.missed.tolist() == missed_per_color(res.colors, quotas).tolist()
@@ -263,6 +283,7 @@ def test_k_below_two_tries_no_gamma(solver, quotas):
     assert res.gamma == 0.0 and res.n_mwu_rounds == 0
     assert res.missed.tolist() == [0, 0]
     assert res.extras["counters"]["incidence_pairs"] == 0
+    assert res.extras["counters"]["raw_size"] == 0
     assert res.extras["counters"]["gamma_rounds"] == 0
 
 

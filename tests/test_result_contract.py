@@ -1,7 +1,8 @@
 """One result contract for MFD and every baseline: each entry point answers
-with a FairDivResult whose int64 indices pick the solved set, and whose
-colors, diversity and misses are that set's, measured against the
-*requested* quotas."""
+with a FairDivResult whose int64 indices pick the solved set, at most k_j
+points of color j, and whose colors, diversity and misses are that set's,
+measured against the *requested* quotas. MFD's answers also count Round's
+picks before the cut to the quotas."""
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from repro.baselines.fairgreedyflow import fairgreedyflow
 from repro.baselines.fmmds import fmmds
 from repro.baselines.sfdm2 import sfdm2_offline
 from repro.core.coreset import coreset_numpy
-from repro.core.geometry import diversity, missed_per_color
+from repro.core.geometry import color_counts, diversity, missed_per_color
 from repro.core.hp import mfd_hp
 from repro.core.mfd import FairDivResult, mfd, solve_coreset
 from repro.core.qfairdiv import QFairDivIndex
@@ -23,6 +24,7 @@ ENTRY_POINTS = [
     "mfd_dense", "mfd_tree", "mfd_hp", "solve_coreset", "solve_coreset_fairgreedyflow",
     "streammfd", "qfairdiv", "fairflow", "fairgreedyflow", "fmmds", "sfdm2_offline",
 ]
+MFD_ENTRY_POINTS = {"mfd_dense", "mfd_tree", "mfd_hp", "solve_coreset", "streammfd", "qfairdiv"}
 
 
 def _instance(seed):
@@ -47,8 +49,8 @@ def _solve(entry, X, colors, seed):
         return direct[entry](), X, colors
     if entry.startswith("solve_coreset"):
         sel, cc = coreset_numpy(X, colors, PER_COLOR_K)
-        solver = fairgreedyflow if entry.endswith("fairgreedyflow") else None
-        return solve_coreset(X[sel], cc, QUOTAS, solver=solver, seed=seed), X[sel], cc
+        kwargs = dict(solver=fairgreedyflow) if entry.endswith("fairgreedyflow") else dict(seed=seed)
+        return solve_coreset(X[sel], cc, QUOTAS, **kwargs), X[sel], cc
     if entry == "streammfd":
         sm = StreamMFD(2, 3, per_color_k=PER_COLOR_K)
         feed(sm, X, colors)
@@ -75,6 +77,9 @@ def test_result_contract(entry, seed):
     np.testing.assert_array_equal(res.colors, sel_colors)
     assert res.diversity == diversity(sel_pts)
     np.testing.assert_array_equal(res.missed, missed_per_color(sel_colors, QUOTAS))
+    assert np.all(color_counts(sel_colors, len(QUOTAS)) <= QUOTAS)
+    if entry in MFD_ENTRY_POINTS:
+        assert res.extras["counters"]["raw_size"] >= len(res.indices)
     for key in ("points", "synopsis_points"):
         if key in res.extras:
             np.testing.assert_array_equal(res.extras[key], sel_pts)

@@ -23,9 +23,9 @@ def test_doubling_capacity_and_coverage(k, seed):
     dk = DoublingKCenter(k, 2)
     for p in X:
         dk.insert(p)
-    assert len(dk.centers) <= k
+    assert len(dk.C) <= k
     # Constant-factor coverage vs offline Gonzalez (2-approx of optimum).
-    r_stream = pairwise_distances(X, dk.centers).min(axis=1).max()
+    r_stream = pairwise_distances(X, dk.C).min(axis=1).max()
     r_gonz = gonzalez_radius(X, gonzalez(X, k))
     assert r_stream <= 16 * r_gonz + 1e-9
 
@@ -37,7 +37,7 @@ def test_doubling_insert_order_invariance_of_guarantee():
         dk = DoublingKCenter(6, 2)
         for p in X[order]:
             dk.insert(p)
-        r = pairwise_distances(X, dk.centers).min(axis=1).max()
+        r = pairwise_distances(X, dk.C).min(axis=1).max()
         assert r <= 16 * gonzalez_radius(X, gonzalez(X, 6)) + 1e-9
 
 
@@ -148,6 +148,44 @@ def test_sfdm2_rejects_out_of_range_color(color):
     with pytest.raises(ValueError):
         algo.insert(np.zeros(2), color)
     assert algo.n_seen == 0 and algo.stored_items() == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_streammfd_rejects_non_finite_point(bad):
+    """A NaN or inf coordinate raises ValueError when the point arrives,
+    not later from solution(), and stores nothing."""
+    sm = StreamMFD(2, 2, per_color_k=4)
+    with pytest.raises(ValueError, match="non-finite"):
+        sm.insert(np.array([0.0, bad]), 0)
+    assert sm.n_seen == 0 and sm.stored_items() == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sfdm2_rejects_non_finite_point(bad):
+    """A NaN or inf coordinate raises ValueError when the point arrives and
+    stores nothing (a NaN first point used to enter every empty buffer and
+    give diversity nan with no misses)."""
+    algo = SFDM2(2, np.array([1, 1]), eps=0.5, d_min=0.1, d_max=10.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        algo.insert(np.array([bad, 0.0]), 0)
+    assert algo.n_seen == 0 and algo.stored_items() == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(eps=0.0), dict(eps=-0.5), dict(eps=np.nan), dict(eps=np.inf),
+        dict(d_max=np.inf), dict(d_max=np.nan), dict(d_max=1.7e308),
+        dict(d_min=np.nan), dict(d_min=-np.inf),
+    ],
+)
+def test_sfdm2_rejects_an_endless_threshold_grid(kwargs):
+    """An eps that is not finite and > 0, or a non-finite d_min or
+    d_max * (1 + eps), raises ValueError before the threshold grid is
+    built (with eps <= 0 or an infinite upper end its loop never ends)."""
+    args = dict(eps=0.5, d_min=0.1, d_max=10.0) | kwargs
+    with pytest.raises(ValueError, match="must be finite"):
+        SFDM2(2, np.array([1, 1]), **args)
 
 
 def test_streammfd_solution_before_any_insert():
