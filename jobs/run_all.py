@@ -20,8 +20,8 @@ def main() -> None:
         ("fig10", run_fig10.main),
         ("table4", run_table4.main),
         ("fig3_4", run_fig3_4.main),
-        ("fig5_6", lambda: run_fig5_6.main(quota_mode="equal", tag="fig5_6")),
-        ("fig7_8", lambda: run_fig5_6.main(quota_mode="proportional", tag="fig7_8")),
+        ("fig5_6", lambda: run_fig5_6.main(quota_mode="equal")),
+        ("fig7_8", lambda: run_fig5_6.main(quota_mode="proportional")),
         ("fig9", run_fig9.main),
     ]:
         t1 = time.time()

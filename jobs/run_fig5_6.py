@@ -1,5 +1,6 @@
 """Figs 5-6 (as tables) — end-to-end comparison, equal quotas:
-diversity and runtime vs k for MFD and all baselines, all datasets."""
+diversity and runtime vs k for MFD and all baselines, all datasets.
+``python jobs/run_fig5_6.py proportional`` gives Figs 7-8 instead."""
 import dataclasses
 import json
 import os
@@ -12,7 +13,12 @@ from repro.experiments.harness import ALGOS, sweep
 from repro.experiments.tables import pivot_table
 
 
-def main(ks=(20, 60, 100), repeats=3, quota_mode="equal", tag="fig5_6") -> str:
+def main(ks=(20, 60, 100), repeats=3, quota_mode="equal") -> str:
+    """Equal quotas write results/fig5_6.{json,md}; proportional ones write
+    results/fig7_8.{json,md}, which Fig 9 does not read."""
+    tag, fig_div, fig_time = (
+        ("fig5_6", "Fig 5", "Fig 6") if quota_mode == "equal" else ("fig7_8", "Fig 7", "Fig 8")
+    )
     spark = get_spark(tag)
     records = []
     for ds in DATASET_NAMES:
@@ -23,7 +29,6 @@ def main(ks=(20, 60, 100), repeats=3, quota_mode="equal", tag="fig5_6") -> str:
         # Checkpoint after each dataset so partial runs are recoverable.
         with open(os.path.join(results_dir(), f"{tag}.json"), "w") as f:
             json.dump([dataclasses.asdict(r) for r in records], f, indent=2)
-    fig_div, fig_time = ("Fig 5", "Fig 6") if quota_mode == "equal" else ("Fig 7", "Fig 8")
     out = pivot_table(records, "diversity", title=f"{fig_div} (as table) — diversity vs k ({quota_mode} quotas)")
     out += "\n" + pivot_table(records, "runtime_s", title=f"{fig_time} (as table) — runtime (s) vs k ({quota_mode} quotas)", nd=2)
     with open(os.path.join(results_dir(), f"{tag}.md"), "w") as f:

@@ -2,4 +2,4 @@
 from run_fig5_6 import main
 
 if __name__ == "__main__":
-    main(quota_mode="proportional", tag="fig7_8")
+    main(quota_mode="proportional")

@@ -1,45 +1,34 @@
 """FairFlow baseline (Moumoulidou, McGregor, Meliou — ICDT 2021 [41]).
 
 Reimplemented from the paper's description: per-color Gonzalez
-candidates, a greedy net over the candidate union, and a max-flow
-assignment of colors to net clusters. The original artifact's flows are
-networkx's; ours are :class:`repro.flow.dinic.Dinic`'s, which is faster
-here and fixes which max flow is found (see :mod:`repro.flow.dinic`).
-Guarantee shape 1/(3m-1): in the paper's experiments this is the
-*fastest* algorithm but returns sets with much lower diversity than MFD
-— exactly the trade our implementation preserves.
+candidates, a greedy net (:func:`repro.core.geometry.greedy_net`) over
+the candidate union, and a max-flow assignment of colors to net clusters
+(:func:`flow_over_net`). The original artifact's flows are networkx's;
+ours are :class:`repro.flow.dinic.Dinic`'s, which is faster here and fixes
+which max flow is found (see :mod:`repro.flow.dinic`). Guarantee shape
+1/(3m-1): in the paper's experiments this is the *fastest* algorithm but
+returns sets with much lower diversity than MFD — exactly the trade our
+implementation preserves.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.geometry import diversity, dists_to_point, pairwise_distances
-from ..core.gonzalez import gonzalez
-from ..core.mfd import FairDivResult, check_instance
+from ..core.geometry import dists_to_point, greedy_net, pairwise_distances
+from ..core.gonzalez import coreset_numpy
+from ..core.mfd import FairDivResult, check_instance, gamma_upper_bound
 from ..flow.dinic import Dinic
 
 
-def _greedy_net(X: np.ndarray, sep: float) -> np.ndarray:
-    """Greedy net: scan points; keep those >= sep from all kept. Every
-    point ends within sep of some kept center (standard net property)."""
-    centers: list[int] = []
-    C = np.empty((0, X.shape[1]))
-    for i in range(len(X)):
-        if len(centers) == 0 or dists_to_point(C, X[i]).min() >= sep:
-            centers.append(i)
-            C = np.vstack([C, X[i]])
-    return np.array(centers, dtype=np.int64)
-
-
-def _flow_select(
-    U: np.ndarray,
-    u_colors: np.ndarray,
-    clusters: np.ndarray,
-    centers: np.ndarray,
-    quotas: np.ndarray,
-) -> list[int]:
-    """Max-flow: source -> color (cap k_j) -> cluster (cap 1 per pair)
-    -> sink (cap 1). Returns selected candidate indices (into U rows)."""
+def flow_over_net(
+    U: np.ndarray, u_colors: np.ndarray, quotas: np.ndarray, sep: float
+) -> tuple[np.ndarray, int]:
+    """The step FairFlow and FairGreedyFlow share: the greedy net of the rows
+    of ``U`` at least ``sep`` apart, each row clustered to its nearest center,
+    and a max flow source -> color (cap k_j) -> cluster (cap 1 per pair) ->
+    sink (cap 1). Returns the selected rows of ``U`` and the cluster count."""
+    centers = greedy_net(U, np.nextafter(sep, -np.inf))
+    clusters = np.argmin(pairwise_distances(U, U[centers]), axis=1)
     m = len(quotas)
     ncl = len(centers)
     s, t = m + ncl, m + ncl + 1
@@ -64,26 +53,21 @@ def _flow_select(
             else:
                 d = dists_to_point(U[members], U[centers[l]])
                 sel.append(int(members[np.argmin(d)]))
-    return sel
+    return np.array(sel, dtype=np.int64), ncl
 
 
 def fairflow(X: np.ndarray, colors: np.ndarray, quotas: np.ndarray) -> FairDivResult:
     """Run FairFlow on (X, colors) with per-color quotas."""
-    from ..core.coreset import coreset_numpy
-
     X, colors, quotas = check_instance(X, colors, quotas)
     m = len(quotas)
     k = int(quotas.sum())
     # Per-color Gonzalez candidates, k per color (the O(nk) stage).
     cand_idx, _ = coreset_numpy(X, colors, k)
-    U, u_colors = X[cand_idx], colors[cand_idx]
-    # Unfair-diversity estimate from color-blind Gonzalez on the union.
-    delta = diversity(U[gonzalez(U, min(k, len(U)))])
+    U = X[cand_idx]
+    # Unfair-diversity estimate: the union's color-blind Gonzalez diversity.
+    delta = gamma_upper_bound(U, k) / 2
     if not np.isfinite(delta):
         delta = 1.0
     sep = delta / (3 * m - 1)
-    centers = _greedy_net(U, sep)
-    D = pairwise_distances(U, U[centers])
-    clusters = np.argmin(D, axis=1)
-    sel = cand_idx[_flow_select(U, u_colors, clusters, centers, quotas)]
-    return FairDivResult.of(X, colors, quotas, sel, sep=sep, n_clusters=len(centers))
+    sel, n_clusters = flow_over_net(U, colors[cand_idx], quotas, sep)
+    return FairDivResult.of(X, colors, quotas, cand_idx[sel], sep=sep, n_clusters=n_clusters)

@@ -1,13 +1,14 @@
 """FairGreedyFlow baseline (Addanki, McGregor, Meliou, Moumoulidou [7]).
 
-For a guessed diversity gamma: build a greedy net over the points with
-separation gamma/(m+1), assign every point to its nearest net center,
-and test via max-flow whether one point per cluster can satisfy all
-color quotas. Any optimal solution with div >= gamma places its k points
-in k *distinct* clusters (two points >= gamma apart cannot share a
-center within gamma/(m+1) when gamma > 2 gamma/(m+1), i.e. m >= 2), so
-feasibility is never spuriously rejected; the returned diversity decays
-by the 1/((m+1)(1+eps)) chaining factor — the paper's guarantee shape.
+For a guessed diversity gamma, FairFlow's step
+(:func:`repro.baselines.fairflow.flow_over_net`) builds a greedy net over
+the points with separation gamma/(m+1), assigns every point to its nearest
+net center, and tests via max-flow whether one point per cluster can
+satisfy all color quotas. Any optimal solution with div >= gamma places its k points in k *distinct*
+clusters (two points >= gamma apart cannot share a center within
+gamma/(m+1) when gamma > 2 gamma/(m+1), i.e. m >= 2), so feasibility is
+never spuriously rejected; the returned diversity decays by the
+1/((m+1)(1+eps)) chaining factor — the paper's guarantee shape.
 
 The guesses are MFD's own geometric schedule
 (:func:`repro.core.mfd.geometric_descent` from the global-Gonzalez upper
@@ -20,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import mfd
-from ..core.geometry import pairwise_distances, satisfies_quotas
-from .fairflow import _flow_select, _greedy_net
+from ..core.geometry import satisfies_quotas
+from .fairflow import flow_over_net
 
 
 def fairgreedyflow(X: np.ndarray, colors: np.ndarray, quotas: np.ndarray) -> mfd.FairDivResult:
@@ -30,9 +31,7 @@ def fairgreedyflow(X: np.ndarray, colors: np.ndarray, quotas: np.ndarray) -> mfd
     k = int(quotas.sum())
 
     def attempt(gamma: float):
-        centers = _greedy_net(X, gamma / (m + 1))
-        clusters = np.argmin(pairwise_distances(X, X[centers]), axis=1)
-        sel = np.array(_flow_select(X, colors, clusters, centers, quotas), dtype=np.int64)
+        sel = flow_over_net(X, colors, quotas, gamma / (m + 1))[0]
         return (sel, gamma) if satisfies_quotas(colors[sel], quotas) else None
 
     found = mfd.geometric_descent(attempt, mfd.gamma_upper_bound(X, k))[0] if k >= 2 else None

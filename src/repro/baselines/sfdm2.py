@@ -5,8 +5,9 @@ in a (1+eps)-geometric grid over [d_min, d_max] (the spread; assumed
 known a priori, as in the original), a color-blind GMM instance S^mu
 (capacity k) and per-color GMM instances S_j^mu (capacity k_j).
 Post-processing scans mu descending and, at separation mu/3, balances
-colors by augmenting deficient colors from their per-color instances —
-the (1-eps)/(3m+2) guarantee shape.
+colors by augmenting deficient colors from their per-color instances
+(the selection's greedy net, :func:`repro.core.geometry.greedy_net`,
+extended over the color's buffer) — the (1-eps)/(3m+2) guarantee shape.
 
 The grid density |M| = log_{1+eps}(d_max/d_min) is what drives cost:
 eps=0.15 gives a dense grid (slow updates, good diversity), eps=0.75 a
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.geometry import dists_to_point, pairwise_distances
-from ..core.mfd import FairDivResult, check_instance, gamma_upper_bound
+from ..core.geometry import dists_to_point, greedy_net, pairwise_distances
+from ..core.gonzalez import coreset_numpy
+from ..core.mfd import FairDivResult, check_instance, fallback_selection, gamma_upper_bound
 from ..core.streaming import check_arrival, feed
 
 
@@ -46,7 +48,6 @@ class SFDM2:
         self.quotas = np.asarray(quotas, dtype=np.int64)
         self.m = len(self.quotas)
         self.k = int(self.quotas.sum())
-        self.eps = eps
         mus: list[float] = []
         mu = max(d_min, 1e-12)
         while mu <= d_max * (1 + eps):
@@ -87,40 +88,30 @@ class SFDM2:
         """Post-processing: largest mu whose balanced set meets all quotas.
         Indices number the selected points, which ``extras['points']`` holds
         as a (|S|, d) array (empty when the threshold grid is)."""
-        best_sel, best_colors, best_cover = None, None, -1
+        best_cover, best_pts, best_colors = -1, np.empty((0, self.d)), np.empty(0, dtype=np.int64)
         for t in range(len(self.mus) - 1, -1, -1):
-            mu = self.mus[t]
-            sel_pts: list[np.ndarray] = []
-            sel_colors: list[int] = []
-            used = np.zeros(self.m, dtype=np.int64)
             # Seed with the color-blind instance, respecting quotas.
-            for p, c in zip(self.glob[t], self.glob_colors[t]):
-                if used[c] < self.quotas[c]:
-                    sel_pts.append(p)
-                    sel_colors.append(c)
-                    used[c] += 1
-            # Augment deficient colors at separation mu/3.
-            for j in range(self.m):
-                if used[j] >= self.quotas[j]:
-                    continue
-                for p in self.per_color[t][j]:
-                    if used[j] >= self.quotas[j]:
-                        break
-                    if sel_pts and dists_to_point(np.array(sel_pts), p).min() < mu / 3.0:
-                        continue
-                    sel_pts.append(p)
-                    sel_colors.append(j)
-                    used[j] += 1
+            cols = np.array(self.glob_colors[t], dtype=np.int64)
+            seed = np.sort(fallback_selection(cols, self.quotas))
+            pts, cols = self.glob[t][seed], cols[seed]
+            used = np.bincount(cols, minlength=self.m)
+            # Augment deficient colors at separation mu/3: the selection is pairwise
+            # >= mu/3 apart, so its net over color j's buffer keeps all of it.
+            for j in np.flatnonzero(used < self.quotas):
+                buf = self.per_color[t][j]
+                net = greedy_net(np.vstack([pts, buf]), np.nextafter(self.mus[t] / 3.0, -np.inf))
+                new = net[net >= len(pts)][: self.quotas[j] - used[j]] - len(pts)
+                pts = np.vstack([pts, buf[new]])
+                cols = np.concatenate([cols, np.full(len(new), j, dtype=np.int64)])
+                used[j] += len(new)
             cover = int(np.minimum(used, self.quotas).sum())
             if cover > best_cover:
-                best_cover = cover
-                best_sel, best_colors = list(sel_pts), list(sel_colors)
+                best_cover, best_pts, best_colors = cover, pts, cols
             if np.all(used >= self.quotas):
                 break
-        pts = np.array(best_sel or [], dtype=np.float64).reshape(-1, self.d)
-        cols = np.array(best_colors or [], dtype=np.int64)
-        return FairDivResult.of(pts, cols, self.quotas, np.arange(len(pts)), points=pts,
-                                n_thresholds=len(self.mus), stored=self.stored_items())
+        return FairDivResult.of(best_pts, best_colors, self.quotas, np.arange(len(best_pts)),
+                                points=best_pts, n_thresholds=len(self.mus),
+                                stored=self.stored_items())
 
 
 def offline_bounds(Xc: np.ndarray, k: int) -> tuple[float, float]:
@@ -150,8 +141,6 @@ def sfdm2_offline(
     (this is how [50]'s algorithm is compared in the offline experiments).
     A bound left as None comes from :func:`offline_bounds` on the serial
     MFD coreset (k per color)."""
-    from ..core.coreset import coreset_numpy
-
     X, colors, quotas = check_instance(X, colors, quotas)
     if d_min is None or d_max is None:
         k = int(quotas.sum())

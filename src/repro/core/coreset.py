@@ -34,12 +34,15 @@ from __future__ import annotations
 
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
-from .gonzalez import gonzalez
+from .gonzalez import coreset_numpy
+
+if TYPE_CHECKING:  # annotations only: the numpy-only paths never load pyspark
+    from pyspark.sql import DataFrame, SparkSession
 
 
 _zip_rereads_skipped = False  # set once skip_unchanged_zip_rereads has installed
@@ -92,19 +95,6 @@ def feature_columns(df) -> list[str]:
         (c for c in df.columns if c.startswith("x") and c[1:].isdigit()),
         key=lambda c: int(c[1:]),
     )
-
-
-def coreset_numpy(
-    X: np.ndarray, colors: np.ndarray, per_color_k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Serial reference: per-color Gonzalez (the authors' implementation:
-    k iterations per color, coreset size <= m*k). Returns (indices, colors)."""
-    out = [np.empty(0, dtype=np.int64)]  # no colors (empty input): empty coreset
-    for j in np.unique(colors):
-        idx = np.where(colors == j)[0]
-        out.append(idx[gonzalez(X[idx], per_color_k)])
-    sel = np.concatenate(out)
-    return sel, np.asarray(colors)[sel]
 
 
 def coreset_arrays(df: DataFrame, per_color_k: int) -> tuple[np.ndarray, np.ndarray]:

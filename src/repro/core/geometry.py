@@ -68,6 +68,46 @@ def dists_to_point(X: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=1))
 
 
+# Rows per step of :func:`greedy_net`, measured pairwise so that a run of
+# mutually distant rows joins in one step. _EARLIER[t, s] is s < t.
+# _NET_CELLS (128 KiB of doubles) keeps each broadcast block in cache.
+_NET_HEAD = 32
+_EARLIER = np.tri(_NET_HEAD, k=-1, dtype=bool)
+_NET_CELLS = 1 << 14
+
+
+def greedy_net(X: np.ndarray, r: float) -> np.ndarray:
+    """Increasing row indices of the greedy r-net of ``X``: in row order, a
+    row joins when it lies farther than ``r`` from every earlier member;
+    "at least sep apart" is ``r = np.nextafter(sep, -np.inf)``. Each step
+    joins the longest pairwise-far prefix of the first :data:`_NET_HEAD`
+    rows still far from every member, then drops the rows within r of a
+    new member. Distances are :func:`dists_to_point`'s, bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    members = [np.empty(0, dtype=np.int64)]
+    pending = np.arange(len(X))
+    while len(pending):
+        head = X[pending[:_NET_HEAD]]
+        h = len(head)
+        near = (~(_cross_dists(head, head) > r) & _EARLIER[:h, :h]).any(axis=1)
+        t = int(np.argmax(near)) if near.any() else h
+        members.append(pending[:t])
+        rest = pending[t:]
+        pending = rest[(_cross_dists(X[rest], head[:t]) > r).all(axis=1)]
+    return np.concatenate(members)
+
+
+def _cross_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``dists_to_point(A, b)`` for every row b of ``B``, as the columns of
+    one matrix, in row blocks of at most :data:`_NET_CELLS` cells."""
+    out = np.empty((len(A), len(B)))
+    step = max(1, _NET_CELLS // max(1, len(B) * A.shape[1]))
+    for s in range(0, len(A), step):
+        diff = A[s:s + step, None, :] - B[None, :, :]
+        out[s:s + step] = np.sqrt((diff * diff).sum(axis=2))
+    return out
+
+
 def diversity(X: np.ndarray) -> float:
     """``div(S)``: minimum pairwise Euclidean distance (inf for |S| < 2)."""
     X = np.asarray(X, dtype=np.float64)

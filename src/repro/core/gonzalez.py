@@ -4,7 +4,7 @@ One traversal, :func:`gonzalez_order`: classic serial farthest-point
 traversal, vectorized with an incremental min-distance array (O(nkd)
 flops, O(n) memory), returning the selection order plus the insertion
 radii; the QFairDiv range structure stores per-node Gonzalez *prefixes*
-of it. :func:`gonzalez` is its order alone.
+of it. :func:`gonzalez` is its order alone; :func:`coreset_numpy`, per color.
 
 Composability (run Gonzalez per partition, then on the union of the
 partial centers) yields a constant-factor k-center solution, which is
@@ -55,3 +55,15 @@ def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         mind[nxt] = -np.inf
     return order, radii
 
+
+def coreset_numpy(
+    X: np.ndarray, colors: np.ndarray, per_color_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serial reference: per-color Gonzalez (the authors' implementation:
+    k iterations per color, coreset size <= m*k). Returns (indices, colors)."""
+    out = [np.empty(0, dtype=np.int64)]  # no colors (empty input): empty coreset
+    for j in np.unique(colors):
+        idx = np.where(colors == j)[0]
+        out.append(idx[gonzalez(X[idx], per_color_k)])
+    sel = np.concatenate(out)
+    return sel, np.asarray(colors)[sel]

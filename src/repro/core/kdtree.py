@@ -49,6 +49,9 @@ class KDTree:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError("KDTree needs a non-empty (n, d) array")
+        if not np.isfinite(X).all():
+            # A walk can neither prune nor accept a NaN leaf: its pairs would double per level.
+            raise ValueError("KDTree needs finite coordinates (no NaN or inf)")
         self.X = X
         n = len(X)
         self.n_nodes = 2 * n - 1

@@ -6,12 +6,12 @@ Gonzalez prefix is itself a Gonzalez run for every smaller k, a single
 stored ordering serves all query budgets.
 
 Query(R, quotas): for each color, decompose R into canonical nodes,
-take each node's Gonzalez prefix, and re-run Gonzalez on the union —
-the composable k-center argument gives a constant-approximation
-k-center solution of P(c_j) ∩ R, hence (Theorem 4.2) the union over
-colors is a (1+eps)-coreset of P ∩ R, on which MFD runs. Fairness is
-measured against the requested quotas, so a color that R lacks counts
-as missed.
+take each node's Gonzalez prefix, and re-run Gonzalez on the union
+(``coreset_numpy``, per color) — the composable k-center argument gives
+a constant-approximation k-center solution of P(c_j) ∩ R, hence (Theorem
+4.2) the union over colors is a (1+eps)-coreset of P ∩ R, on which MFD
+runs. Fairness is measured against the requested quotas, so a color that
+R lacks counts as missed.
 
 Substitution note (documented in DESIGN.md): the paper cites the
 range-clustering structures of [6, 44] with O(log^{d-1} n) canonical
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gonzalez import gonzalez
+from .gonzalez import coreset_numpy, gonzalez
 from .kdtree import KDTree
 from .mfd import FairDivResult, solve_coreset
 
@@ -33,7 +33,8 @@ class QFairDivIndex:
 
     def __init__(self, X: np.ndarray, colors: np.ndarray, *, k_max: int = 64):
         """Index the rows of ``X`` by color; there are m = max(colors) + 1
-        colors, and a negative color id raises ``ValueError``."""
+        colors. A negative color id, and a NaN or inf coordinate (through
+        :class:`repro.core.kdtree.KDTree`), raise ``ValueError``."""
         self.X = np.asarray(X, dtype=np.float64)
         self.colors = np.asarray(colors, dtype=np.int64)
         self.m = int(self.colors.max()) + 1
@@ -71,21 +72,12 @@ class QFairDivIndex:
         quotas the range cannot meet (a color absent from R misses its
         whole quota). Indices refer to rows of the indexed point set."""
         k = int(np.sum(quotas))
-        core_rows = [np.empty(0, dtype=np.int64)]  # an empty range: an empty coreset
-        for j in range(self.m):
-            t = self.trees[j]
-            if t is None:
-                continue
-            nodes = t.canonical_nodes_rect(lo, hi)
-            if not len(nodes):
-                continue
-            prefix_rows = np.concatenate(
-                [self.node_orders[j][u][: min(self.k_max, k)] for u in nodes]
-            )
-            cand = t.X[prefix_rows]
-            sel = gonzalez(cand, min(k, len(cand)))
-            core_rows.append(self.color_rows[j][prefix_rows[sel]])
-        rows = np.concatenate(core_rows)
+        cand = [np.empty(0, dtype=np.int64)]  # an empty range: an empty coreset
+        for j, t in enumerate(self.trees):
+            for u in [] if t is None else t.canonical_nodes_rect(lo, hi):
+                cand.append(self.color_rows[j][self.node_orders[j][u][: min(self.k_max, k)]])
+        cand = np.concatenate(cand)
+        rows = cand[coreset_numpy(self.X[cand], self.colors[cand], k)[0]]
         res = solve_coreset(self.X[rows], self.colors[rows], quotas, eps=eps, g=g, seed=seed)
         res.indices = rows[res.indices]
         return res

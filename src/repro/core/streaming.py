@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .geometry import dists_to_point
+from .geometry import dists_to_point, diversity, greedy_net
 from .mfd import FairDivResult, solve_coreset
 
 
@@ -28,8 +28,10 @@ class DoublingKCenter:
     """Incremental k-center with the doubling algorithm.
 
     Invariant sketch: centers are pairwise > tau and every point seen is
-    within c*tau of some center; on overflow tau doubles and centers are
-    greedily pruned. Constant-factor (8-approx) vs the offline optimum.
+    within c*tau of some center; on overflow tau doubles and the centers
+    are pruned to their greedy tau-net
+    (:func:`repro.core.geometry.greedy_net`). Constant-factor (8-approx)
+    vs the offline optimum.
     """
 
     def __init__(self, k: int, d: int):
@@ -42,25 +44,13 @@ class DoublingKCenter:
         if len(self.C) < self.k:
             self.C = np.vstack([self.C, p])
             if len(self.C) == self.k and self.k >= 2:
-                from .geometry import pairwise_distances
-
-                D = pairwise_distances(self.C)
-                np.fill_diagonal(D, np.inf)
-                self.tau = float(D.min())
+                self.tau = diversity(self.C)
             return
         if dists_to_point(self.C, p).min() > self.tau:
             self.C = np.vstack([self.C, p])
             while len(self.C) > self.k:
                 self.tau = max(self.tau * 2.0, 1e-300)
-                self.C = self._prune(self.C, self.tau)
-
-    @staticmethod
-    def _prune(C: np.ndarray, tau: float) -> np.ndarray:
-        keep: list[int] = []
-        for i in range(len(C)):
-            if not keep or dists_to_point(C[keep], C[i]).min() > tau:
-                keep.append(i)
-        return C[keep]
+                self.C = self.C[greedy_net(self.C, self.tau)]
 
 
 class StreamMFD:

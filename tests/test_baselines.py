@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from repro.core import exact
-from repro.core.geometry import equal_quotas
-from repro.baselines.fairflow import fairflow, _greedy_net
+from repro.core.geometry import equal_quotas, greedy_net
+from repro.baselines.fairflow import fairflow
 from repro.baselines.fairgreedyflow import fairgreedyflow
 from repro.baselines.fmmds import FMMDSBudgetExceeded, fmmds
 
@@ -20,7 +20,7 @@ def _instance(n, d, m, seed, spread=4.0):
 @pytest.mark.parametrize("seed", range(4))
 def test_greedy_net_properties(seed):
     X, _ = _instance(100, 2, 2, seed)
-    centers = _greedy_net(X, 2.0)
+    centers = greedy_net(X, 2.0)
     C = X[centers]
     from repro.core.geometry import pairwise_distances
 
@@ -100,15 +100,15 @@ def test_baselines_handle_zero_quota(algo):
 
 
 def _count_greedy_nets(monkeypatch):
-    import repro.baselines.fairgreedyflow as fgf
+    import repro.baselines.fairflow as ff
 
     calls = []
 
     def counted(X, sep):
         calls.append(sep)
-        return _greedy_net(X, sep)
+        return greedy_net(X, sep)
 
-    monkeypatch.setattr(fgf, "_greedy_net", counted)
+    monkeypatch.setattr(ff, "greedy_net", counted)
     return calls
 
 

@@ -114,6 +114,45 @@ def test_color_counts_and_quotas(m):
     assert np.all(G.missed_per_color(colors, counts + 2) == 2)
 
 
+def _net_at_least(X, sep):
+    """Reference: the row-by-row net keeping rows >= sep from every kept row."""
+    centers = []
+    C = np.empty((0, X.shape[1]))
+    for i in range(len(X)):
+        if len(centers) == 0 or G.dists_to_point(C, X[i]).min() >= sep:
+            centers.append(i)
+            C = np.vstack([C, X[i]])
+    return np.array(centers, dtype=np.int64)
+
+
+def _net_farther_than(C, tau):
+    """Reference: the doubling prune, keeping rows > tau from every kept row."""
+    keep = []
+    for i in range(len(C)):
+        if not keep or G.dists_to_point(C[keep], C[i]).min() > tau:
+            keep.append(i)
+    return np.array(keep, dtype=np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 11])
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_net_matches_reference_loops(seed, d):
+    """Rounded coordinates and duplicate rows, so that many distances tie:
+    at r = 0, at r equal to a pairwise distance, and at a typical r, the
+    net is each reference loop's (">= sep" is r = nextafter(sep, -inf))."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 120))
+    X = np.round(rng.normal(size=(n, d)) * 2.0, 1)
+    X[rng.integers(0, n, n // 3)] = X[rng.integers(0, n, n // 3)]
+    i, j = rng.integers(0, n, 2)
+    for r in [0.0, float(G.dists_to_point(X[i:i + 1], X[j])[0]), float(np.median(G.pairwise_distances(X)))]:
+        got = G.greedy_net(X, r)
+        assert got.dtype == np.int64
+        assert got.tolist() == _net_farther_than(X, r).tolist()
+        assert G.greedy_net(X, np.nextafter(r, -np.inf)).tolist() == _net_at_least(X, r).tolist()
+    assert G.greedy_net(np.empty((0, d)), 1.0).tolist() == []
+
+
 @pytest.mark.parametrize("k,m", [(10, 3), (20, 14), (5, 5), (100, 7), (3, 10)])
 def test_equal_quotas_sum(k, m):
     q = G.equal_quotas(k, m)

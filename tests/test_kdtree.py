@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.exact import fuzzy_ball_members
 from repro.core.kdtree import KDTree
+from repro.core.qfairdiv import QFairDivIndex
 
 
 def _rand(n, d, seed):
@@ -165,3 +166,18 @@ def test_negative_fuzz_rejected():
     t = KDTree(_rand(10, 2, 0))
     with pytest.raises(ValueError):
         t.canonical_nodes(np.zeros((1, 2)), 1.0, -0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("build", ["kdtree", "qfairdiv"])
+def test_non_finite_row_rejected(build, bad):
+    """A NaN box is neither pruned nor accepted, so a walk over it would
+    double its pairs at every level: construction raises instead (the
+    tree is never queried here)."""
+    X = _rand(40, 2, 0)
+    X[7, 1] = bad
+    with pytest.raises(ValueError):
+        if build == "kdtree":
+            KDTree(X)
+        else:
+            QFairDivIndex(X, np.arange(40) % 2)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.sfdm2 import SFDM2, sfdm2_offline
-from repro.core.geometry import equal_quotas, pairwise_distances
+from repro.core.geometry import dists_to_point, equal_quotas, pairwise_distances
 from repro.core.exact import gonzalez_radius
 from repro.core.gonzalez import gonzalez
 from repro.core.streaming import DoublingKCenter, StreamMFD, feed
@@ -206,6 +206,59 @@ def test_sfdm2_solution_with_an_empty_threshold_grid():
     assert res.colors.dtype == np.int64 and len(res.colors) == 0
     assert res.missed.tolist() == [1, 1]
     assert res.extras["points"].shape == (0, 3)
+
+
+def _sfdm2_balanced(algo):
+    """Reference: SFDM-2's post-processing with its balancing as a
+    point-by-point loop. Returns the chosen points and colors."""
+    best_sel, best_colors, best_cover = None, None, -1
+    for t in range(len(algo.mus) - 1, -1, -1):
+        mu = algo.mus[t]
+        sel_pts, sel_colors = [], []
+        used = np.zeros(algo.m, dtype=np.int64)
+        for p, c in zip(algo.glob[t], algo.glob_colors[t]):
+            if used[c] < algo.quotas[c]:
+                sel_pts.append(p)
+                sel_colors.append(c)
+                used[c] += 1
+        for j in range(algo.m):
+            if used[j] >= algo.quotas[j]:
+                continue
+            for p in algo.per_color[t][j]:
+                if used[j] >= algo.quotas[j]:
+                    break
+                if sel_pts and dists_to_point(np.array(sel_pts), p).min() < mu / 3.0:
+                    continue
+                sel_pts.append(p)
+                sel_colors.append(j)
+                used[j] += 1
+        cover = int(np.minimum(used, algo.quotas).sum())
+        if cover > best_cover:
+            best_cover = cover
+            best_sel, best_colors = list(sel_pts), list(sel_colors)
+        if np.all(used >= algo.quotas):
+            break
+    pts = np.array(best_sel or [], dtype=np.float64).reshape(-1, algo.d)
+    return pts, np.array(best_colors or [], dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sfdm2_solution_matches_reference_loop(seed):
+    """Integer coordinates, duplicate rows and a rare color, so that the
+    color-blind buffers fall short and the balancing runs, with distances
+    equal to mu/3 (mu = 3, 6, 12, 24): after every 100 arrivals,
+    solution() gives the reference loop's points and colors exactly."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-6, 7, size=(600, 2)).astype(np.float64)
+    X[rng.integers(0, 600, 150)] = X[rng.integers(0, 600, 150)]
+    colors = rng.choice(3, size=600, p=[0.8, 0.15, 0.05])
+    algo = SFDM2(2, np.array([2, 3, 3]), eps=1.0, d_min=3.0, d_max=12.0)
+    for a in range(0, 600, 100):
+        feed(algo, X[a:a + 100], colors[a:a + 100])
+        res = algo.solution()
+        pts, cols = _sfdm2_balanced(algo)
+        assert res.extras["points"].tobytes() == pts.tobytes()
+        assert res.colors.tolist() == cols.tolist()
 
 
 def test_streammfd_synopsis_shortfall_reported_against_requested_quotas():
