@@ -12,9 +12,10 @@ never spuriously rejected; the returned diversity decays by the
 
 The guesses are MFD's own geometric schedule
 (:func:`repro.core.mfd.geometric_descent` from the global-Gonzalez upper
-bound, default decay), stopping at the first feasible guess. As in MFD,
-k < 2 makes no guess, and when no guess is feasible the answer is
-:func:`repro.core.mfd.fallback_selection` with gamma 0.
+bound, gamma <- (1 - ``mfd.DECAY``) gamma), stopping at the first
+feasible guess. As in MFD, k < 2 makes no guess, and when no guess is
+feasible the answer is :func:`repro.core.mfd.fallback_selection` with
+gamma 0.
 """
 from __future__ import annotations
 

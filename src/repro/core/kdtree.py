@@ -60,7 +60,6 @@ class KDTree:
         self.left = np.full(self.n_nodes, -1, dtype=np.int64)
         self.right = np.full(self.n_nodes, -1, dtype=np.int64)
         self.parent = np.full(self.n_nodes, -1, dtype=np.int64)
-        self.leaf_point = np.full(self.n_nodes, -1, dtype=np.int64)
         self.point_leaf = np.empty(n, dtype=np.int64)
         self.start = np.empty(self.n_nodes, dtype=np.int64)
         self.size = np.empty(self.n_nodes, dtype=np.int64)
@@ -78,7 +77,6 @@ class KDTree:
             lo = self.lo[node] = np.minimum.reduceat(pts, offs)
             hi = self.hi[node] = np.maximum.reduceat(pts, offs)
             leaf = size == 1
-            self.leaf_point[node[leaf]] = idx[offs[leaf]]
             self.point_leaf[idx[offs[leaf]]] = node[leaf]
             # Stable sort of every slice along its node's widest dimension.
             dim = np.argmax(hi - lo, axis=1)

@@ -3,26 +3,26 @@
 Top-level driver (the paper's Algorithm 1 plus the Section-6 engineering
 choices the authors made in their own artifact):
 
-- candidate gamma schedule: either the theory-faithful WSPD binary
-  search (``gamma_schedule="wspd"``) or the practical geometric decay
-  the authors shipped (start from the global-Gonzalez upper bound, and
-  on infeasibility set gamma <- (1 - 0.15) gamma; ``"geometric"``,
-  default);
+- gamma schedule: the geometric descent the authors shipped (start from
+  the global-Gonzalez upper bound, and on infeasibility set gamma <-
+  (1 - ``DECAY``) gamma, ``DECAY`` = 0.15). Theorem 3.2's binary search
+  over WSPD candidate distances is not implemented;
 - early stopping parameter ``g`` (fraction of the theoretical MWU
   iteration count, default 0.3 per their micro-benchmark);
 - randomized rounding, 5-run averaging left to the experiment harness.
 
 :func:`mfd` and the high-probability variant share one gamma search
 (:func:`certify_and_round`); every solve on a coreset or synopsis goes
-through :func:`solve_coreset`, the one place that decides quotas. The two
-search loops, :func:`geometric_descent` and :func:`binary_search`, are
-also those of the FairGreedyFlow and FMMD-S baselines. MFD and every
-baseline check their input with :func:`check_instance` and answer with a
+through :func:`solve_coreset`, the one place that decides quotas. The
+descent, :func:`geometric_descent`, is also FairGreedyFlow's, and
+:func:`binary_search` is FMMD-S's. MFD and every baseline check their
+input with :func:`check_instance` and answer with a
 :class:`FairDivResult` built by :meth:`FairDivResult.of`.
 
-Run directly on a point set this is Theorem 3.2; run on the Section 4
-coreset (see :mod:`repro.core.coreset`) it is Corollary 4.3 — the
-configuration evaluated in the paper's experiments.
+Run directly on a point set this is Theorem 3.2's algorithm with the
+Section-6 schedule; run on the Section 4 coreset (see
+:mod:`repro.core.coreset`) it is Corollary 4.3 — the configuration
+evaluated in the paper's experiments.
 """
 from __future__ import annotations
 
@@ -36,7 +36,8 @@ from . import mwu
 from .geometry import color_counts, diversity, missed_per_color
 from .gonzalez import gonzalez
 from .kdtree import KDTree
-from .wspd import candidate_distances
+
+DECAY = 0.15  # the authors' Section-6 schedule: gamma <- 0.85 gamma on infeasibility
 
 
 @dataclass
@@ -89,10 +90,11 @@ def gamma_upper_bound(X: np.ndarray, k: int) -> float:
     return 2.0 * diversity(X[idx])
 
 
-def geometric_descent(attempt: Callable[[float], object], start: float, decay: float = 0.15):
+def geometric_descent(attempt: Callable[[float], object], start: float):
     """The practical gamma schedule (paper Section 6): ``attempt(gamma)`` for
-    gamma = ``start`` (finite), then gamma * (1 - ``decay``), ..., while gamma
-    >= 1e-12 * max(start, 1). Returns the first non-None result and the tries."""
+    gamma = ``start`` (finite), then gamma * (1 - :data:`DECAY`), ..., while
+    gamma >= 1e-12 * max(start, 1). Returns the first non-None result and the
+    tries."""
     gamma, tries = start, 0
     floor = 1e-12 * max(start, 1.0)
     while gamma >= floor:
@@ -100,12 +102,12 @@ def geometric_descent(attempt: Callable[[float], object], start: float, decay: f
         got = attempt(gamma)
         if got is not None:
             return got, tries
-        gamma *= 1.0 - decay
+        gamma *= 1.0 - DECAY
     return None, tries
 
 
 def binary_search(attempt: Callable[[float], object], candidates: np.ndarray):
-    """Theorem 3.2's search over the ascending ``candidates``: ``attempt``
+    """FMMD-S's threshold search over the ascending ``candidates``: ``attempt``
     the middle one (mid = (lo + hi + 1) // 2), then search above it on a
     non-None result, below it on None. Returns the last non-None result and
     the tries."""
@@ -136,20 +138,16 @@ def certify_and_round(
     *,
     eps: float,
     g: float,
-    decay: float = 0.15,
-    gamma_schedule: str = "geometric",
     backend: str = "dense",
 ) -> FairDivResult:
     """Algorithm 1: validate the input (:func:`check_instance`, then quotas
-    the colors can meet, a finite ``eps`` > 0, a known ``backend`` and
-    ``gamma_schedule``; ``ValueError`` otherwise), search
-    for the largest gamma whose LP2 MWU certifies feasible
-    (:func:`binary_search` over the WSPD candidates, or
-    :func:`geometric_descent` from :func:`gamma_upper_bound`, at most ~170
-    rounds), and round its x_hat with ``rounding(prob, xhat) -> (indices,
-    extras)``. The answer is the first k_j picks of each color j of
-    Round's set, in sampling order, so |S(c_j)| <= k_j. If no gamma is
-    certified, the result is
+    the colors can meet, a finite ``eps`` > 0 and a known ``backend``;
+    ``ValueError`` otherwise), search for the largest gamma whose LP2 MWU
+    certifies feasible (:func:`geometric_descent` from
+    :func:`gamma_upper_bound`, at most ~170 rounds), and round its x_hat
+    with ``rounding(prob, xhat) -> (indices, extras)``. The answer is the
+    first k_j picks of each color j of Round's set, in sampling order, so
+    |S(c_j)| <= k_j. If no gamma is certified, the result is
     :func:`fallback_selection`, a fair set, with gamma 0. That is always so
     when X has fewer than k distinct locations: the upper bound is then 0
     and every fair set is optimal. With k < 2 (an empty X included) no
@@ -157,8 +155,8 @@ def certify_and_round(
     the needed color, both with gamma 0.
 
     ``extras`` also gets ``timings`` (wall seconds: ``gamma_bound_s``, the
-    upper bound or WSPD candidates; ``incidence_s`` and ``mwu_s``, the
-    neighborhood builds and the MWU loops summed over the gamma rounds;
+    upper bound; ``incidence_s`` and ``mwu_s``, the neighborhood builds
+    and the MWU loops summed over the gamma rounds;
     ``round_s``) and ``counters`` (``gamma_rounds``; ``mwu_iterations``,
     T per round; and for the certified gamma ``incidence_pairs``, B's
     (point, node) pairs, ``raw_size``, |S| before the cut, and ``update``,
@@ -169,8 +167,6 @@ def certify_and_round(
         raise ValueError(f"eps must be finite and > 0; got {eps}")
     if backend not in ("dense", "tree"):
         raise ValueError(f"backend must be 'dense' or 'tree'; got {backend!r}")
-    if gamma_schedule not in ("geometric", "wspd"):
-        raise ValueError(f"gamma_schedule must be 'geometric' or 'wspd'; got {gamma_schedule!r}")
     X, colors, quotas = check_instance(X, colors, quotas)
     counts = color_counts(colors, len(quotas))
     if np.any(counts < quotas):
@@ -192,14 +188,9 @@ def certify_and_round(
     feasible, rounds = None, 0
     if k >= 2:  # with fewer than 2 points every set has diversity inf: nothing to certify
         t0 = time.perf_counter()
-        if gamma_schedule == "wspd":
-            Gamma = candidate_distances(X, eps)
-            timings["gamma_bound_s"] = time.perf_counter() - t0
-            feasible, rounds = binary_search(attempt, Gamma)
-        else:
-            start = gamma_upper_bound(X, k)
-            timings["gamma_bound_s"] = time.perf_counter() - t0
-            feasible, rounds = geometric_descent(attempt, start, decay)
+        start = gamma_upper_bound(X, k)
+        timings["gamma_bound_s"] = time.perf_counter() - t0
+        feasible, rounds = geometric_descent(attempt, start)
 
     counters = {"gamma_rounds": rounds, "mwu_iterations": mwu.iterations(len(X), k, eps, g) if rounds else 0,
                 "incidence_pairs": 0, "raw_size": 0, "update": None}
@@ -225,8 +216,6 @@ def mfd(
     *,
     eps: float = 1.0,
     g: float = 0.3,
-    decay: float = 0.15,
-    gamma_schedule: str = "geometric",
     backend: str = "dense",
     seed: int | None = None,
 ) -> FairDivResult:
@@ -248,8 +237,7 @@ def mfd(
     def rounding(prob: mwu.MWUProblem, xhat: np.ndarray):
         return mwu.round_solution(prob, xhat, rng), {"lp2_violation": mwu.lp2_violation(prob, xhat)}
 
-    return certify_and_round(X, colors, quotas, rounding, eps=eps, g=g, decay=decay,
-                             gamma_schedule=gamma_schedule, backend=backend)
+    return certify_and_round(X, colors, quotas, rounding, eps=eps, g=g, backend=backend)
 
 
 def solve_coreset(Xc: np.ndarray, cc: np.ndarray, quotas: np.ndarray, *, solver=None, **kwargs):

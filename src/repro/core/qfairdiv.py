@@ -70,12 +70,16 @@ class QFairDivIndex:
         :func:`repro.core.mfd.solve_coreset`: it is asked for what the
         coreset holds of each color, and ``missed`` counts the requested
         quotas the range cannot meet (a color absent from R misses its
-        whole quota). Indices refer to rows of the indexed point set."""
+        whole quota). Indices refer to rows of the indexed point set.
+        Every node stores only its first ``k_max`` Gonzalez rows, so a query
+        with sum(quotas) > ``k_max`` raises ``ValueError``."""
         k = int(np.sum(quotas))
+        if k > self.k_max:
+            raise ValueError(f"sum(quotas) = {k} exceeds the index's k_max = {self.k_max}")
         cand = [np.empty(0, dtype=np.int64)]  # an empty range: an empty coreset
         for j, t in enumerate(self.trees):
             for u in [] if t is None else t.canonical_nodes_rect(lo, hi):
-                cand.append(self.color_rows[j][self.node_orders[j][u][: min(self.k_max, k)]])
+                cand.append(self.color_rows[j][self.node_orders[j][u][:k]])
         cand = np.concatenate(cand)
         rows = cand[coreset_numpy(self.X[cand], self.colors[cand], k)[0]]
         res = solve_coreset(self.X[rows], self.colors[rows], quotas, eps=eps, g=g, seed=seed)

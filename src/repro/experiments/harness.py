@@ -15,7 +15,8 @@ Every grid cell, Figs 3-4 and Table 4 included, runs through
   includes the coreset construction.
 - FairFlow and FMMD-S run on the full point set (each builds its own
   candidate structure, as their papers specify).
-- SFDM-2 streams the full point set once (:func:`repro.core.streaming.feed`);
+- SFDM-2 streams the full point set once (:func:`repro.core.streaming.feed`)
+  at the ε its label ``SFDM-2(e=<x>)`` names;
   its [d_min, d_max] comes from :func:`repro.baselines.sfdm2.offline_bounds`
   on the cell's coreset, the one offline bounds protocol (the paper's
   footnote 5). Fig 10 instead estimates the spread from a sample
@@ -30,6 +31,7 @@ Every grid cell, Figs 3-4 and Table 4 included, runs through
 """
 from __future__ import annotations
 
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,6 +69,23 @@ BENCH_SCALES = {
     "popsim_1m": 0.06,
     "beer": 0.03,
 }
+
+
+_NUMBER = r"(\d+(?:\.\d*)?|\.\d+)"
+
+
+def parse_algo(algo: str) -> tuple[str, dict]:
+    """``(name, params)`` of a run label: ``MFD`` (no params) or ``MFD-<g>``
+    (``{"g": g}``, the early stop), ``SFDM-2(e=<x>)`` (``{"eps": x}``), or
+    another :data:`ALGOS` entry (no params). Any other label raises
+    ``ValueError``."""
+    if m := re.fullmatch(rf"MFD(?:-{_NUMBER})?", algo):
+        return "MFD", {} if m[1] is None else {"g": float(m[1])}
+    if m := re.fullmatch(rf"SFDM-2\(e={_NUMBER}\)", algo):
+        return "SFDM-2", {"eps": float(m[1])}
+    if algo in ALGOS:
+        return algo, {}
+    raise ValueError(f"unknown algorithm label {algo!r}: want MFD, MFD-<g>, SFDM-2(e=<x>) or one of {ALGOS}")
 
 
 @dataclass
@@ -132,35 +151,32 @@ def run_algo(
     timeout_s: float = 600.0,
     fmmds_budget: int = 300_000,
 ) -> tuple[float, float, np.ndarray, bool, str]:
-    """One run of ``algo`` (an :data:`ALGOS` label or ``MFD-<g>``); ``seed``
+    """One run of ``algo`` (a label :func:`parse_algo` reads); ``seed``
     draws MFD's rounding, the baselines draw nothing.
     Returns (diversity, runtime_s, missed, dnf, note)."""
+    name, params = parse_algo(algo)
     Xc, cc = coreset
     t0 = time.perf_counter()
     try:
-        if algo.startswith("MFD"):
-            early_stop = {"g": float(algo[4:])} if algo.startswith("MFD-") else {}
-            res = solve_coreset(Xc, cc, quotas, seed=seed, **early_stop)
+        if name == "MFD":
+            res = solve_coreset(Xc, cc, quotas, seed=seed, **params)
             dt = time.perf_counter() - t0 + coreset_time
-        elif algo == "FairFlow":
+        elif name == "FairFlow":
             res = fairflow(X, colors, quotas)
             dt = time.perf_counter() - t0
-        elif algo == "FairGreedyFlow":
+        elif name == "FairGreedyFlow":
             res = solve_coreset(Xc, cc, quotas, solver=fairgreedyflow)
             dt = time.perf_counter() - t0 + coreset_time
-        elif algo == "FMMD-S":
+        elif name == "FMMD-S":
             res = fmmds(X, colors, quotas, node_budget=fmmds_budget)
             dt = time.perf_counter() - t0
-        elif algo.startswith("SFDM-2"):
-            eps = 0.15 if ".15" in algo else 0.75
+        else:  # SFDM-2
             d_min, d_max = offline_bounds(Xc, int(quotas.sum()))
-            inst = SFDM2(X.shape[1], quotas, eps=eps, d_min=d_min, d_max=d_max)
+            inst = SFDM2(X.shape[1], quotas, d_min=d_min, d_max=d_max, **params)
             if not feed(inst, X, colors, deadline=t0 + timeout_s):
                 return np.nan, time.perf_counter() - t0, quotas.copy(), True, "timeout"
             res = inst.solution()
             dt = time.perf_counter() - t0
-        else:
-            raise ValueError(algo)
     except FMMDSBudgetExceeded:
         return np.nan, time.perf_counter() - t0, quotas.copy(), True, "budget"
     if dt > timeout_s:
@@ -191,7 +207,7 @@ def sweep(
             quotas = make_quotas(quota_mode, k, colors, meta.m)
             Xc, cc, coreset_time = _timed_coreset(df, X, colors, k)
             for algo in algos:
-                reps = repeats if algo.startswith("MFD") else 1
+                reps = repeats if parse_algo(algo)[0] == "MFD" else 1
                 divs, times, missed_acc = [], [], np.zeros(meta.m)
                 dnf, note = False, ""
                 for r in range(reps):

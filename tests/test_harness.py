@@ -9,6 +9,8 @@ from repro.experiments.harness import (
     ALGOS,
     RunRecord,
     make_quotas,
+    parse_algo,
+    run_algo,
     streaming_experiment,
     sweep,
 )
@@ -22,6 +24,22 @@ def test_make_quotas_modes():
     assert pr.sum() <= 10 and pr[0] > pr[2]
     with pytest.raises(ValueError):
         make_quotas("nope", 5, colors, 3)
+
+
+def test_algo_labels_parse_strictly():
+    """ε comes from the SFDM-2 label and g from the MFD one; a label that is
+    none of MFD, MFD-<g>, SFDM-2(e=<x>) or an ALGOS entry is rejected, not
+    run as the algorithm its prefix names."""
+    assert parse_algo("MFD") == ("MFD", {})
+    assert parse_algo("MFD-0.1") == ("MFD", {"g": 0.1})
+    assert parse_algo("SFDM-2(e=.5)") == ("SFDM-2", {"eps": 0.5})
+    assert parse_algo("SFDM-2(e=.15)") == ("SFDM-2", {"eps": 0.15})
+    assert parse_algo("FMMD-S") == ("FMMD-S", {})
+    rng = np.random.default_rng(0)
+    X, colors = rng.normal(size=(40, 2)), np.arange(40) % 2
+    for bad in ("MFDX", "MFD-", "MFD-x", "mfd", "SFDM-2", "SFDM-2(e=)", "SFDM-2(e=.5)x", "FairFlow2", ""):
+        with pytest.raises(ValueError, match="unknown algorithm label"):
+            run_algo(bad, X, colors, np.array([2, 2]), coreset=(X, colors), coreset_time=0.0)
 
 
 def test_sweep_all_algos_tiny():

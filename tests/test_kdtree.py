@@ -16,9 +16,10 @@ def test_structure_invariants(n, d, seed):
     X = _rand(n, d, seed)
     t = KDTree(X)
     assert t.n_nodes == 2 * n - 1
-    leaves = [u for u in range(t.n_nodes) if t.leaf_point[u] >= 0]
+    leaves = [u for u in range(t.n_nodes) if t.size[u] == 1]
     assert len(leaves) == n
-    assert sorted(t.leaf_point[u] for u in leaves) == list(range(n))
+    assert sorted(t.order[t.start[u]] for u in leaves) == list(range(n))
+    assert all(t.point_leaf[t.order[t.start[u]]] == u for u in leaves)
     # Every point's leaf box is the point itself.
     for i in range(n):
         u = t.point_leaf[i]
@@ -26,7 +27,7 @@ def test_structure_invariants(n, d, seed):
         np.testing.assert_allclose(t.hi[u], X[i])
     # Children partition the parent's point set.
     for u in range(t.n_nodes):
-        if t.leaf_point[u] < 0:
+        if t.size[u] > 1:
             l, r = t.left[u], t.right[u]
             assert t.parent[l] == u and t.parent[r] == u
             assert t.size[u] == t.size[l] + t.size[r]
@@ -39,7 +40,7 @@ def _reference_layout(X):
     right child's slice of ``order`` before the left child's."""
     n = len(X)
     a = {k: np.full(2 * n - 1, -1, dtype=np.int64)
-         for k in ("start", "size", "left", "right", "parent", "leaf_point")}
+         for k in ("start", "size", "left", "right", "parent")}
     a["lo"], a["hi"] = np.empty((2 * n - 1, X.shape[1])), np.empty((2 * n - 1, X.shape[1]))
     a["order"], a["point_leaf"] = np.arange(n), np.empty(n, dtype=np.int64)
 
@@ -48,7 +49,7 @@ def _reference_layout(X):
         a["lo"][node], a["hi"][node] = X[idx].min(axis=0), X[idx].max(axis=0)
         a["start"][node], a["size"][node], a["parent"][node] = start, size, parent
         if size == 1:
-            a["leaf_point"][node], a["point_leaf"][idx[0]] = idx[0], node
+            a["point_leaf"][idx[0]] = node
             return
         dim = int(np.argmax(a["hi"][node] - a["lo"][node]))
         srt = idx[np.argsort(X[idx, dim], kind="stable")]

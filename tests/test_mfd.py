@@ -1,4 +1,4 @@
-"""End-to-end MFD: approximation vs brute-force optimum, fairness, schedules."""
+"""End-to-end MFD: approximation vs brute-force optimum, fairness, the gamma search."""
 import numpy as np
 import pytest
 
@@ -44,10 +44,10 @@ def test_mfd_constant_approximation_on_tiny_instances(seed):
     eps = 1.0
     # Average over rounding randomness.
     best = max(
-        mfd(X, colors, quotas, eps=eps, g=1.0, decay=0.05, seed=s).diversity
+        mfd(X, colors, quotas, eps=eps, g=1.0, seed=s).diversity
         for s in range(5)
     )
-    # Guarantee: gamma_feasible >= (1-decay) * gamma* is not exact because of
+    # Guarantee: gamma_feasible >= (1-DECAY) * gamma* is not exact because of
     # early stopping; allow the combined factor with 25% schedule slack.
     assert best >= gstar / (2 * (1 + eps)) * 0.75 - 1e-9
 
@@ -96,16 +96,26 @@ def test_mfd_trim_keeps_fairness_and_improves_div():
     np.testing.assert_array_equal(res.missed, missed_per_color(colors[sel], quotas))
 
 
-def test_mfd_wspd_schedule_close_to_geometric():
-    X, colors = _instance(40, 2, 2, seed=5)
-    quotas = np.array([2, 2])
-    geo = max(mfd(X, colors, quotas, seed=s, g=1.0).gamma for s in range(3))
-    wspd = max(
-        mfd(X, colors, quotas, seed=s, g=1.0, gamma_schedule="wspd").gamma
-        for s in range(3)
-    )
-    # Both schedules should certify gammas within a small factor.
-    assert wspd >= 0.5 * geo
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m,k", [(2, 2), (2, 6), (3, 12)])
+@pytest.mark.parametrize("entry", ["dense", "tree", "hp", "coreset"])
+def test_certified_gamma_within_upper_bound(entry, m, k, seed):
+    """The one gamma schedule descends from gamma_upper_bound, a proven bound
+    on any k-subset's diversity, so no certified gamma exceeds it."""
+    from repro.core.gonzalez import coreset_numpy
+    from repro.core.hp import mfd_hp
+    from repro.core.mfd import solve_coreset
+
+    X, colors = _instance(90, 2, m, seed)
+    quotas = equal_quotas(k, m)
+    if entry == "coreset":
+        sel, cc = coreset_numpy(X, colors, k)
+        X, res = X[sel], solve_coreset(X[sel], cc, quotas, seed=seed)
+    elif entry == "hp":
+        res = mfd_hp(X, colors, quotas, seed=seed)
+    else:
+        res = mfd(X, colors, quotas, backend=entry, seed=seed)
+    assert 0 < res.gamma <= gamma_upper_bound(X, k)
 
 
 def test_mfd_rejects_infeasible_quotas():
@@ -208,20 +218,15 @@ def test_bad_input_raises_value_error(bad, solver):
 
 
 @pytest.mark.parametrize("backend", ["dense", "tree"])
-@pytest.mark.parametrize(
-    "bad", ["eps_zero", "eps_negative", "eps_nan", "eps_inf", "schedule_typo", "schedule_case"]
-)
+@pytest.mark.parametrize("bad", ["eps_zero", "eps_negative", "eps_nan", "eps_inf"])
 def test_bad_solver_argument_raises_value_error(bad, backend):
-    """A degenerate eps or an unknown gamma schedule is rejected up front
-    with one ValueError, not a ZeroDivisionError deep in MWU, a silent
-    result, or a silent fallback to the default schedule."""
+    """A degenerate eps is rejected up front with one ValueError, not a
+    ZeroDivisionError deep in MWU or a silent result."""
     kwargs, match = {
         "eps_zero": (dict(eps=0.0), "eps must be finite and > 0"),
         "eps_negative": (dict(eps=-0.5), "eps must be finite and > 0"),
         "eps_nan": (dict(eps=np.nan), "eps must be finite and > 0"),
         "eps_inf": (dict(eps=np.inf), "eps must be finite and > 0"),
-        "schedule_typo": (dict(gamma_schedule="wpsd"), "gamma_schedule must be"),
-        "schedule_case": (dict(gamma_schedule="Geometric"), "gamma_schedule must be"),
     }[bad]
     X, colors = _instance(40, 2, 2, seed=0)
     with pytest.raises(ValueError, match=match):
@@ -287,9 +292,9 @@ def test_k_below_two_tries_no_gamma(solver, quotas):
     assert res.extras["counters"]["gamma_rounds"] == 0
 
 
-# The four gamma-search loops that the two shared ones replaced (MFD's two
-# schedules, FairGreedyFlow's and FMMD-S's), kept verbatim up to the call
-# signature as references.
+# The four gamma-search loops that the two shared ones replaced (MFD's
+# binary search and geometric schedule, FairGreedyFlow's and FMMD-S's),
+# kept verbatim up to the call signature as references.
 
 
 def _ref_mfd_wspd(attempt, Gamma):
@@ -365,7 +370,7 @@ def test_shared_searches_probe_as_the_replaced_loops(seed):
     """On random candidate arrays, with monotone and non-monotone
     feasibility, the shared searches probe the same gammas in the same
     order and return the same result as the loops they replace."""
-    from repro.core.mfd import binary_search, geometric_descent
+    from repro.core.mfd import DECAY, binary_search, geometric_descent
 
     rng = np.random.default_rng(seed)
     cands = np.unique(rng.exponential(size=int(rng.integers(0, 60))) * 10.0 ** rng.integers(-3, 4))
@@ -380,12 +385,11 @@ def test_shared_searches_probe_as_the_replaced_loops(seed):
         assert new_probes == old_probes
 
     start = float(rng.exponential() * 10.0 ** rng.integers(-3, 4)) if seed % 8 else 0.0
-    decay = float(rng.uniform(0.01, 0.5))
-    grid = start * (1.0 - decay) ** np.arange(40)
+    grid = start * (1.0 - DECAY) ** np.arange(40)
     for feasible in _predicates(rng, grid):
         new, new_probes = _probe(feasible)
         old, old_probes = _probe(feasible)
-        assert geometric_descent(new, start, decay) == _ref_mfd_geometric(old, start, decay)
+        assert geometric_descent(new, start) == _ref_mfd_geometric(old, start, DECAY)
         assert new_probes == old_probes
         if start > 0:  # at start 0 the old FairGreedyFlow loop spun 200 times
             new, new_probes = _probe(feasible)

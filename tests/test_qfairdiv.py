@@ -51,6 +51,17 @@ def test_query_quotas_clip_to_range_content():
     assert np.all(colors[res.indices] == 0)
 
 
+def test_query_beyond_k_max_raises():
+    """Every node stores only k_max Gonzalez rows, so a query for more points
+    than that is refused, not answered from prefixes cut at k_max."""
+    X, colors = _instance(400, 2, 3)
+    idx = QFairDivIndex(X, colors, k_max=8)
+    lo, hi = np.array([-10.0, -10.0]), np.array([10.0, 10.0])
+    with pytest.raises(ValueError, match="k_max"):
+        idx.query(lo, hi, np.array([20, 20]))
+    assert len(idx.query(lo, hi, np.array([4, 4]), seed=0).indices) <= 8  # k = k_max is answered
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_query_quality_vs_bruteforce(seed):
     """Query diversity within a constant factor of the in-range optimum."""
