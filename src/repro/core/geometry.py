@@ -6,6 +6,8 @@ truth for distance semantics (Euclidean, per Definition 1 of the paper).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -32,6 +34,21 @@ def pairwise_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray
 _BLOCK_CELLS = 1 << 18
 
 
+def sq_threshold(r: float) -> float:
+    """The largest double t with ``sqrt(t) <= r`` (nan if r < 0 or nan).
+    sqrt is correctly rounded and so monotone: for every double ``sq``,
+    ``sq <= t`` iff ``sqrt(max(sq, 0)) <= r``."""
+    r = float(r)
+    if not r >= 0.0:
+        return math.nan
+    t = r * r
+    while math.sqrt(t) > r:
+        t = math.nextafter(t, -math.inf)
+    while t < math.inf and math.sqrt(math.nextafter(t, math.inf)) <= r:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def pairs_within(X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair ``(i, j)`` with ``||x_i - x_j|| <= r``, as two
     arrays sorted by (i, j): ``np.nonzero(pairwise_distances(X) <= r)``
@@ -39,17 +56,30 @@ def pairs_within(X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
 
     Each row block ``[s, e)`` is measured against rows ``s:`` only (the
     upper triangle, diagonal block included) and its pairs beyond the
-    diagonal block are mirrored. :func:`pairwise_distances` is bitwise
-    symmetric and its row blocks equal the full matrix's rows, so the
-    pairs are exactly the full matrix's.
+    diagonal block are mirrored. A block's squared distances are
+    :func:`pairwise_distances`' expanded square, operation for operation
+    (row norms taken once, two block buffers reused), so they are bitwise
+    symmetric and equal the full matrix's; the clip and the sqrt are
+    replaced by ``sq <= sq_threshold(r)``, which selects the same pairs.
     """
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
+    t = sq_threshold(r)
+    xx = (X * X).sum(axis=1)
+    cells = min(n * n, max(_BLOCK_CELLS, n))
+    gram, sq = np.empty(cells), np.empty(cells)
     keys = [np.empty(0, dtype=np.int64)]
     s = 0
     while s < n:
-        e = min(n, s + max(1, _BLOCK_CELLS // (n - s)))
-        i, j = np.nonzero(pairwise_distances(X[s:e], X[s:]) <= r)
+        w = n - s
+        e = min(n, s + max(1, _BLOCK_CELLS // w))
+        G = gram[: (e - s) * w].reshape(e - s, w)
+        S = sq[: (e - s) * w].reshape(e - s, w)
+        np.matmul(X[s:e], X[s:].T, out=G)
+        G *= 2.0
+        np.add(xx[s:e, None], xx[None, s:], out=S)
+        S -= G
+        i, j = np.divmod(np.flatnonzero(S <= t), w)
         i += s
         j += s
         off = j >= e
@@ -63,9 +93,50 @@ def pairs_within(X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dists_to_point(X: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every row of ``X`` to the single point ``p``."""
+    """Euclidean distance from every row of ``X`` to the single point ``p``:
+    the row-major form, for callers with one point at a time (many points
+    against one X go through :func:`dists_to_point_cm`)."""
     diff = np.asarray(X, dtype=np.float64) - np.asarray(p, dtype=np.float64)[None, :]
     return np.sqrt((diff * diff).sum(axis=1))
+
+
+def dists_to_point_cm(XT: np.ndarray, p: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`dists_to_point` of a C-contiguous X, bit for bit, from its
+    coordinate-major copy ``XT = np.ascontiguousarray(X.T)`` of shape (d, n):
+    one subtract, one square and a row sum, each over whole coordinate
+    rows, into the scratch ``buf`` (shape of XT, overwritten) and ``out``
+    (shape (n,), returned)."""
+    np.subtract(XT, p[:, None], out=buf)
+    np.multiply(buf, buf, out=buf)
+    _sum_rows(buf, out)
+    return np.sqrt(out, out=out)
+
+
+def _sum_rows(buf: np.ndarray, out: np.ndarray) -> None:
+    """``out = buf.sum(axis=0)`` in the order numpy's pairwise sum adds a
+    contiguous run of d values (``pairwise_sum`` in numpy's
+    ``loops_utils.h``), so that it equals a row sum of the (n, d)
+    transpose: in sequence for d < 8; else eight accumulators over
+    8-row strides, combined ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, plus
+    the leftover rows in sequence; past 128 rows, two halves (the first a
+    multiple of 8) summed apart and added. Overwrites ``buf``."""
+    d = len(buf)
+    if d < 8:
+        np.add.reduce(buf, axis=0, out=out)
+    elif d > 128:
+        half = d // 2 - (d // 2) % 8
+        _sum_rows(buf[:half], out)
+        _sum_rows(buf[half:], buf[half])
+        out += buf[half]
+    else:
+        full = d - d % 8
+        for i in range(8, full, 8):
+            buf[:8] += buf[i : i + 8]
+        np.add(buf[0:8:2], buf[1:8:2], out=buf[0:8:2])
+        np.add(buf[0:8:4], buf[2:8:4], out=buf[0:8:4])
+        np.add(buf[0], buf[4], out=out)
+        for i in range(full, d):
+            out += buf[i]
 
 
 # Rows per step of :func:`greedy_net`, measured pairwise so that a run of

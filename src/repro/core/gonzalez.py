@@ -1,10 +1,17 @@
 """Gonzalez greedy k-center — the workhorse behind coresets (Theorem 4.2).
 
 One traversal, :func:`gonzalez_order`: classic serial farthest-point
-traversal, vectorized with an incremental min-distance array (O(nkd)
-flops, O(n) memory), returning the selection order plus the insertion
-radii; the QFairDiv range structure stores per-node Gonzalez *prefixes*
-of it. :func:`gonzalez` is its order alone; :func:`coreset_numpy`, per color.
+traversal (Gonzalez, TCS 1985), vectorized with an incremental
+min-distance array (O(nkd) flops, O(nd) memory), returning the selection
+order plus the insertion radii; the QFairDiv range structure stores
+per-node Gonzalez *prefixes* of it. :func:`gonzalez` is its order alone;
+:func:`coreset_numpy`, per color.
+
+Each step measures one point against all rows with
+:func:`repro.core.geometry.dists_to_point_cm` over a coordinate-major copy
+of X made once per call: whole coordinate rows per numpy call instead of
+a short row sum per point, with the bits of
+:func:`repro.core.geometry.dists_to_point`.
 
 Composability (run Gonzalez per partition, then on the union of the
 partial centers) yields a constant-factor k-center solution, which is
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import dists_to_point
+from .geometry import dists_to_point_cm
 
 
 def gonzalez(X: np.ndarray, k: int) -> np.ndarray:
@@ -38,7 +45,9 @@ def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     so on input with fewer than k distinct points the tail holds duplicates
     at radius 0. The radii are non-increasing;
     prefix ``order[:t]`` is a valid Gonzalez run for k'=t, which makes
-    stored prefixes reusable for any query k.
+    stored prefixes reusable for any query k. Distances are those of
+    :func:`repro.core.geometry.dists_to_point` on a C-contiguous X, bit for
+    bit, whatever X's memory layout.
     """
     X = np.asarray(X, dtype=np.float64)
     k = max(0, min(int(k), len(X)))
@@ -46,12 +55,14 @@ def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     radii = np.full(k, np.inf)
     if k == 0:
         return order, radii
-    mind = dists_to_point(X, X[0])
+    XT = np.ascontiguousarray(X.T)
+    buf, dist = np.empty_like(XT), np.empty(len(X))
+    mind = dists_to_point_cm(XT, X[0], buf, np.empty(len(X)))
     mind[0] = -np.inf  # a selected row is never picked again, even at distance 0
     for t in range(1, k):
         nxt = int(np.argmax(mind))
         order[t], radii[t] = nxt, mind[nxt]
-        np.minimum(mind, dists_to_point(X, X[nxt]), out=mind)
+        np.minimum(mind, dists_to_point_cm(XT, X[nxt], buf, dist), out=mind)
         mind[nxt] = -np.inf
     return order, radii
 

@@ -81,11 +81,13 @@ class Incidence:
     def __post_init__(self) -> None:
         bounds = np.arange(self.n_points + 1)
         self._cover_ptr = np.searchsorted(self.cover_pt, bounds)
+        self._cover_len = np.diff(self._cover_ptr)
         self._member_ptr = np.searchsorted(self.member_pt, bounds)
 
     def coeffs(self, h: np.ndarray) -> np.ndarray:
-        """A^T h: w_i = sum of h_l over the l with i in S^eps_l."""
-        per_node = np.bincount(self.cover_node, weights=h[self.cover_pt], minlength=self.n_nodes)
+        """A^T h: w_i = sum of h_l over the l with i in S^eps_l. B is sorted
+        by point, so ``h[cover_pt]`` is each h_l repeated per pair of row l."""
+        per_node = np.bincount(self.cover_node, weights=np.repeat(h, self._cover_len), minlength=self.n_nodes)
         if self.exact:
             return per_node
         return np.bincount(self.member_pt, weights=per_node[self.member_node], minlength=self.n_points)
@@ -107,7 +109,7 @@ class Incidence:
         ps = self._member_ptr[:-1]
         pn = np.diff(self._member_ptr)
         if self.exact:
-            return ps, pn, self.cover_node, self._cover_ptr[:-1], np.diff(self._cover_ptr)
+            return ps, pn, self.cover_node, self._cover_ptr[:-1], self._cover_len
         order = np.argsort(self.cover_node, kind="stable")
         bn = np.bincount(self.cover_node, minlength=self.n_nodes)
         return ps, pn, self.cover_pt[order], np.cumsum(bn) - bn, bn

@@ -1,4 +1,6 @@
 """Unit tests for repro.core.geometry against brute-force references."""
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,75 @@ def test_dists_to_point(seed):
         got = G.dists_to_point(X, p)
         np.testing.assert_allclose(got, np.linalg.norm(X - p, axis=1))
         np.testing.assert_array_equal(got, np.sqrt(((X - p) ** 2).sum(axis=1)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [0, *range(1, 18), 31, 64, 127, 130, 300])
+def test_dists_to_point_cm_bitwise(d):
+    """The coordinate-major kernel gives the row-sum formula's exact bits
+    on both sides of numpy's 8-wide pairwise block and its 128-value
+    split, with duplicate rows and coordinate scales 1e-3 to 1e6; its
+    scratch buffers are reused from one point to the next."""
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(150, d)) * np.logspace(-3, 6, 150)[:, None]
+    X[::5] = X[7]
+    XT = np.ascontiguousarray(X.T)
+    buf, out = np.empty_like(XT), np.empty(len(X))
+    for p in (X[7], X[0], X[149], np.zeros(d)):
+        want = np.sqrt(((X - p) ** 2).sum(axis=1))
+        got = G.dists_to_point_cm(XT, p, buf, out)
+        assert got is out
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got), _bits(G.dists_to_point(X, p)))
+
+
+def _realized_distance():
+    X = _rand(40, 3, 11)
+    return float(G.pairwise_distances(X[:1], X[1:2])[0, 0])
+
+
+@pytest.mark.parametrize("r", [
+    0.0, 5e-324, 1e-200, 1.0, 0.1, _realized_distance(),
+    np.nextafter(_realized_distance(), np.inf), np.nextafter(_realized_distance(), -np.inf),
+    1e154, 1e200, np.finfo(float).max,
+])
+def test_sq_threshold_is_the_largest_square_within_r(r):
+    """sqrt(t) <= r < sqrt(nextafter(t, inf)), also where r*r underflows
+    (5e-324, 1e-200) or overflows (1e200)."""
+    t = G.sq_threshold(r)
+    assert math.sqrt(t) <= r < math.sqrt(math.nextafter(t, math.inf))
+
+
+def test_sq_threshold_edges():
+    assert G.sq_threshold(np.inf) == np.inf
+    assert np.isnan(G.sq_threshold(-1.0)) and np.isnan(G.sq_threshold(np.nan))
+    assert G.sq_threshold(1e200) == np.finfo(float).max
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("r", [np.inf, 1e200, -1.0, np.nan])
+def test_pairs_within_tiny_extreme_radii(n, r):
+    _assert_pairs_match_ball_matrix(_rand(n, 3, n), r)
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+def test_pairs_within_three_blocks_at_edge_radii(fortran):
+    """Over three or more row blocks, at a realized distance and the
+    doubles either side of it, at 0 (with duplicate rows), at 1e200 and
+    at inf, the pairs are the full matrix's, for either memory layout."""
+    n = 1100
+    assert n * n > 3 * G._BLOCK_CELLS
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(n, 3)) * 3.0, 2)
+    X[::9] = X[4]
+    if fortran:
+        X = np.asfortranarray(X)
+    r = float(G.pairwise_distances(X[10:11], X[20:21])[0, 0])
+    for rr in (r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf), 0.0, 1e200, np.inf):
+        _assert_pairs_match_ball_matrix(X, rr)
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (5, 1), (30, 2)])

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from repro.core import exact
-from repro.core.geometry import diversity, pairwise_distances
+from repro.core.geometry import dists_to_point, diversity, pairwise_distances
 from repro.core.exact import gonzalez_radius
 from repro.core.gonzalez import gonzalez, gonzalez_order
+from repro.data.datasets import DATASET_NAMES, dataset_arrays
 
 
 def _rand(n, d, seed):
@@ -46,6 +47,44 @@ def test_duplicate_rows_never_repicked(seed):
     np.testing.assert_array_equal(
         gonzalez_order(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), 3)[0], [0, 2, 1]
     )
+
+
+def _gonzalez_order_rowmajor(X, k):
+    """Reference: the traversal measured with the row-major
+    ``dists_to_point``, one row sum per point."""
+    k = min(k, len(X))
+    order, radii = np.zeros(k, dtype=np.int64), np.full(k, np.inf)
+    mind = dists_to_point(X, X[0])
+    mind[0] = -np.inf
+    for t in range(1, k):
+        nxt = int(np.argmax(mind))
+        order[t], radii[t] = nxt, mind[nxt]
+        np.minimum(mind, dists_to_point(X, X[nxt]), out=mind)
+        mind[nxt] = -np.inf
+    return order, radii
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_order_and_radii_bitwise_equal_rowmajor_reference(name):
+    """On every dataset (d = 2, 6 and 8), with and without duplicate rows,
+    at k = 20 and 100: the same order and radii, bit for bit."""
+    paper_n = dataset_arrays(name, scale=0.0)[2].paper_n
+    X, _, _ = dataset_arrays(name, scale=1500 / paper_n)
+    dup = np.round(X, 0)
+    dup[::3] = dup[5]
+    for Y in (X, dup):
+        for k in (20, 100):
+            got, want = gonzalez_order(Y, k), _gonzalez_order_rowmajor(Y, k)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+
+
+@pytest.mark.parametrize("d", [2, 8, 9])
+def test_order_does_not_depend_on_memory_layout(d):
+    X = np.random.default_rng(d).normal(size=(300, d)) * 1e3
+    for Y in (np.asfortranarray(X), X[:, ::-1][:, ::-1], np.repeat(X, 2, axis=1)[:, ::2]):
+        for got, want in zip(gonzalez_order(Y, 40), gonzalez_order(X, 40)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_k_larger_than_n_truncates():
