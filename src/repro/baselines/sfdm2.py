@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.geometry import dists_to_point, greedy_net, pairwise_distances
 from ..core.gonzalez import coreset_numpy
-from ..core.mfd import FairDivResult, check_instance, fallback_selection, gamma_upper_bound
+from ..core.mfd import FairDivResult, check_instance, check_quotas, fallback_selection, gamma_upper_bound
 from ..core.streaming import check_arrival, feed
 
 
@@ -29,7 +29,8 @@ class SFDM2:
 
     Raises ``ValueError`` for an ``eps`` that is not finite and > 0 and for
     a non-finite ``d_min`` or ``d_max * (1 + eps)``; with eps <= 0 or an
-    infinite upper end the threshold-grid loop would never end."""
+    infinite upper end the threshold-grid loop would never end. Quotas go
+    through :func:`repro.core.mfd.check_quotas`."""
 
     def __init__(
         self,
@@ -45,7 +46,7 @@ class SFDM2:
         if not (np.isfinite(d_min) and np.isfinite(d_max * (1 + eps))):
             raise ValueError(f"d_min and d_max * (1 + eps) must be finite; got {d_min}, {d_max}")
         self.d = int(d)
-        self.quotas = np.asarray(quotas, dtype=np.int64)
+        self.quotas = check_quotas(quotas)
         self.m = len(self.quotas)
         self.k = int(self.quotas.sum())
         mus: list[float] = []

@@ -15,10 +15,12 @@ def pairwise_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray
     """Dense Euclidean distance matrix between rows of ``X`` and ``Y``.
 
     ``Y=None`` means ``Y=X``. Uses the expanded-square identity with a
-    clip at 0 to absorb negative round-off before the sqrt.
+    clip at 0 to absorb negative round-off before the sqrt. Both read
+    C-ordered copies, so the bits do not depend on the memory layout (a
+    row sum of d >= 8 values is added pairwise only over a contiguous row).
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = X if Y is None else np.asarray(Y, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = X if Y is None else np.ascontiguousarray(Y, dtype=np.float64)
     sq = (
         (X * X).sum(axis=1)[:, None]
         + (Y * Y).sum(axis=1)[None, :]
@@ -62,7 +64,7 @@ def pairs_within(X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     symmetric and equal the full matrix's; the clip and the sqrt are
     replaced by ``sq <= sq_threshold(r)``, which selects the same pairs.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     n = len(X)
     t = sq_threshold(r)
     xx = (X * X).sum(axis=1)

@@ -20,8 +20,9 @@ exactly what Theorem 4.2 requires of ``Alg``; the Spark coreset
 
 Gonzalez is a 2-approximation for k-center and a 1/2-approximation for
 (unfair) max-min diversification; the min pairwise distance among the
-selected centers is the paper's upper bound for the FairDiv binary
-search.
+selected centers, doubled, is the upper bound on the FairDiv optimum
+where MFD's geometric gamma descent starts
+(:func:`repro.core.mfd.gamma_upper_bound`).
 """
 from __future__ import annotations
 

@@ -63,13 +63,24 @@ class FairDivResult:
         return cls(sel, gamma, diversity(X[sel]), sel_colors, missed, rounds, extras)
 
 
+def check_quotas(quotas) -> np.ndarray:
+    """``quotas`` as an int64 array. Raises ``ValueError`` for a quota that
+    is negative or not an integer, rather than failing later or cutting it
+    to an integer."""
+    q = np.asarray(quotas)
+    if not np.all(np.isfinite(q) & (q >= 0) & (q == np.floor(q))):
+        raise ValueError(f"quotas must be non-negative integers; got {q.tolist()}")
+    return q.astype(np.int64)
+
+
 def check_instance(X, colors, quotas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(X, colors, quotas)`` as float64, int64 and int64 arrays. Raises
-    ``ValueError`` for a non-finite coordinate or a color id outside
-    [0, m), m = len(quotas); quotas a color cannot meet are not checked."""
+    ``ValueError`` for a non-finite coordinate, a color id outside [0, m),
+    m = len(quotas), or a quota :func:`check_quotas` rejects; quotas a
+    color cannot meet are not checked."""
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
-    quotas = np.asarray(quotas, dtype=np.int64)
+    quotas = check_quotas(quotas)
     if not np.all(np.isfinite(X)):
         raise ValueError("X has non-finite coordinates (NaN or inf)")
     color_counts(colors, len(quotas))  # raises on an id outside [0, m)
@@ -247,7 +258,7 @@ def solve_coreset(Xc: np.ndarray, cc: np.ndarray, quotas: np.ndarray, *, solver=
     the *requested* k_j. ``extras`` gets ``held`` (coreset rows per color),
     ``coreset_size`` and ``points`` (the selected coreset rows' coordinates).
     """
-    quotas = np.asarray(quotas, dtype=np.int64)
+    Xc, cc, quotas = check_instance(Xc, cc, quotas)
     held = color_counts(cc, len(quotas))
     res = (solver or mfd)(Xc, cc, np.minimum(quotas, held), **kwargs)
     res.missed = missed_per_color(res.colors, quotas)

@@ -61,11 +61,13 @@ def test_dataset_arrays_consistent():
     assert X.dtype == np.float64
 
 
-def test_spark_color_counts_vs_duckdb(spark):
-    """Distributed group-by of the generated data agrees with DuckDB."""
-    sdf, meta = dataset_spark(spark, "adult", scale=0.01, seed=0)
+@pytest.mark.parametrize("name,scale", [("adult", 0.01), ("census", 0.005)], ids=["adult", "census"])
+def test_spark_color_counts_vs_duckdb(spark, name, scale):
+    """Distributed group-by of the generated data agrees with DuckDB (on
+    census at Table 3's scale too)."""
+    sdf, meta = dataset_spark(spark, name, scale=scale, seed=0)
     got = sdf.groupBy("color").count().withColumnRenamed("count", "cnt")
-    pdf, _ = dataset_pandas("adult", scale=0.01, seed=0)
+    pdf, _ = dataset_pandas(name, scale=scale, seed=0)
     assert_equivalent(
         got,
         "SELECT color, COUNT(*) AS cnt FROM pts GROUP BY color",

@@ -160,6 +160,31 @@ def test_pairs_within_three_blocks_at_edge_radii(fortran):
         _assert_pairs_match_ball_matrix(X, rr)
 
 
+@pytest.mark.parametrize("d", [8, 17])
+def test_distances_do_not_depend_on_memory_layout(d):
+    """With d >= 8 numpy adds a row pairwise only when it is contiguous, so
+    a Fortran-ordered X (what ``pd.read_csv(...).to_numpy()`` gives) must
+    give the same distance bits, the same pairs at every realized radius
+    and the same MFD answers as its C-ordered copy."""
+    from repro.core.mfd import mfd
+
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(60, d))
+    F = np.asfortranarray(X)
+    D = G.pairwise_distances(X)
+    assert np.array_equal(G.pairwise_distances(F).view(np.int64), D.view(np.int64))
+    assert np.array_equal(G.pairwise_distances(F, F[:7]).view(np.int64), D[:, :7].view(np.int64))
+    for r in np.unique(D):
+        for got, want in zip(G.pairs_within(F, r), G.pairs_within(X, r)):
+            assert np.array_equal(got, want)
+    colors = rng.integers(0, 3, size=len(X))
+    for backend in ("dense", "tree"):
+        a = mfd(X, colors, np.array([3, 3, 3]), backend=backend, seed=0)
+        b = mfd(F, colors, np.array([3, 3, 3]), backend=backend, seed=0)
+        assert np.array_equal(a.indices, b.indices)
+        assert (a.gamma, a.diversity) == (b.gamma, b.diversity)
+
+
 @pytest.mark.parametrize("n,seed", [(2, 0), (5, 1), (30, 2)])
 def test_diversity_matches_min_pairwise(n, seed):
     X = _rand(n, 3, seed)

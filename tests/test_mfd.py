@@ -181,12 +181,15 @@ def test_mfd_spark_coreset_smaller_than_quota_shows_as_miss(spark):
 @pytest.mark.parametrize(
     "solver", ["dense", "tree", "hp", "coreset", "fairflow", "fairgreedyflow", "fmmds", "sfdm2_offline"]
 )
-@pytest.mark.parametrize("bad", ["nan", "inf", "color_ge_m", "negative_color"])
+@pytest.mark.parametrize(
+    "bad", ["nan", "inf", "color_ge_m", "negative_color", "negative_quota", "fractional_quota"]
+)
 def test_bad_input_raises_value_error(bad, solver):
-    """Non-finite coordinates and color ids outside [0, m) are rejected
-    with a clear ValueError by every entry point, the baselines included,
-    not turned into a nan diversity, a numpy broadcast error or a silent
-    answer that ignores the stray color."""
+    """Non-finite coordinates, color ids outside [0, m) and quotas that are
+    negative or not integers are rejected with a clear ValueError by every
+    entry point, the baselines included, not turned into a nan diversity,
+    a numpy error, a silent answer that ignores the stray color, or a
+    quota cut to an integer."""
     from repro.baselines.fairflow import fairflow
     from repro.baselines.fairgreedyflow import fairgreedyflow
     from repro.baselines.fmmds import fmmds
@@ -195,25 +198,26 @@ def test_bad_input_raises_value_error(bad, solver):
     from repro.core.mfd import solve_coreset
 
     X, colors = _instance(30, 2, 2, seed=0)
+    quotas = {"negative_quota": np.array([-1, 3]), "fractional_quota": np.array([2.7, 2])}.get(bad, np.array([2, 2]))
     if bad == "nan":
         X[5, 0] = np.nan
     elif bad == "inf":
         X[5, 1] = np.inf
     elif bad == "color_ge_m":
         colors[5] = 2
-    else:
+    elif bad == "negative_color":
         colors[5] = -1
     run = {
-        "dense": lambda: mfd(X, colors, np.array([2, 2]), backend="dense", seed=0),
-        "tree": lambda: mfd(X, colors, np.array([2, 2]), backend="tree", seed=0),
-        "hp": lambda: mfd_hp(X, colors, np.array([2, 2]), seed=0),
-        "coreset": lambda: solve_coreset(X, colors, np.array([2, 2]), seed=0),
-        "fairflow": lambda: fairflow(X, colors, np.array([2, 2])),
-        "fairgreedyflow": lambda: fairgreedyflow(X, colors, np.array([2, 2])),
-        "fmmds": lambda: fmmds(X, colors, np.array([2, 2])),
-        "sfdm2_offline": lambda: sfdm2_offline(X, colors, np.array([2, 2]), eps=0.5),
+        "dense": lambda: mfd(X, colors, quotas, backend="dense", seed=0),
+        "tree": lambda: mfd(X, colors, quotas, backend="tree", seed=0),
+        "hp": lambda: mfd_hp(X, colors, quotas, seed=0),
+        "coreset": lambda: solve_coreset(X, colors, quotas, seed=0),
+        "fairflow": lambda: fairflow(X, colors, quotas),
+        "fairgreedyflow": lambda: fairgreedyflow(X, colors, quotas),
+        "fmmds": lambda: fmmds(X, colors, quotas),
+        "sfdm2_offline": lambda: sfdm2_offline(X, colors, quotas, eps=0.5),
     }[solver]
-    with pytest.raises(ValueError, match="non-finite|color ids"):
+    with pytest.raises(ValueError, match="non-finite|color ids|quotas must be non-negative integers"):
         run()
 
 

@@ -188,6 +188,14 @@ def test_sfdm2_rejects_an_endless_threshold_grid(kwargs):
         SFDM2(2, np.array([1, 1]), **args)
 
 
+@pytest.mark.parametrize("quotas", [[-1, 3], [2.7, 2]])
+def test_sfdm2_rejects_negative_or_fractional_quotas(quotas):
+    """The stream's quotas are checked as the offline entry points' are,
+    not cut to integers."""
+    with pytest.raises(ValueError, match="quotas must be non-negative integers"):
+        SFDM2(2, np.array(quotas), eps=0.5, d_min=0.1, d_max=10.0)
+
+
 def test_streammfd_solution_before_any_insert():
     """An empty synopsis gives an empty answer that misses every quota."""
     res = StreamMFD(2, 2, 5).solution(np.array([1, 1]))
