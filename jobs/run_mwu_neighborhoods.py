@@ -13,8 +13,10 @@ eps=1, g=0.3. Two modes:
 stage timings ``mfd`` records in ``extras["timings"]`` (neighborhoods =
 ``incidence_s``, MWU = ``mwu_s``, both summed over the gamma rounds); the
 certified gamma's pair count and Update read from ``extras["counters"]``;
-the process's peak RSS so far; and each call's gamma rounds. Run one
-process per kind, n ascending. ``crossover`` interleaves the two kinds,
+the process's peak RSS so far; and each call's gamma rounds and the MWU
+iterations of its certified round (``mwu_iterations``: T, or a power of
+two below it when MWU stopped early). Run one process per kind, n
+ascending. ``crossover`` interleaves the two kinds,
 7 calls each per n, and prints the median, min and max total per kind.
 """
 import resource
@@ -63,7 +65,8 @@ def table(backend: str, ns) -> None:
         cols = " | ".join("—" if backend == "dense" and c in ("build", "query") else f"{med[c]:.3f}"
                           for c in ("total", "build", "query", "incidence_s", "mwu_s"))
         print(f"| {len(X)} | {backend} | {cols} | {runs[-1]['incidence_pairs']:,} | {runs[-1]['update']} "
-              f"| {rss:.0f} | {'/'.join(str(r['gamma_rounds']) for r in runs)} |", flush=True)
+              f"| {rss:.0f} | {'/'.join(str(r['gamma_rounds']) for r in runs)} "
+              f"| {'/'.join(str(r['mwu_iterations']) for r in runs)} |", flush=True)
 
 
 def crossover(ns) -> None:

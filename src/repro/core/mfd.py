@@ -155,7 +155,8 @@ def certify_and_round(
     the colors can meet, a finite ``eps`` > 0 and a known ``backend``;
     ``ValueError`` otherwise), search for the largest gamma whose LP2 MWU
     certifies feasible (:func:`geometric_descent` from
-    :func:`gamma_upper_bound`, at most ~170 rounds), and round its x_hat
+    :func:`gamma_upper_bound`, at most ~170 rounds; :func:`mwu.solve` may
+    certify before its T iterations), and round its x_hat
     with ``rounding(prob, xhat) -> (indices, extras)``. The answer is the
     first k_j picks of each color j of Round's set, in sampling order, so
     |S(c_j)| <= k_j. If no gamma is certified, the result is
@@ -168,11 +169,14 @@ def certify_and_round(
     ``extras`` also gets ``timings`` (wall seconds: ``gamma_bound_s``, the
     upper bound; ``incidence_s`` and ``mwu_s``, the neighborhood builds
     and the MWU loops summed over the gamma rounds;
-    ``round_s``) and ``counters`` (``gamma_rounds``; ``mwu_iterations``,
-    T per round; and for the certified gamma ``incidence_pairs``, B's
-    (point, node) pairs, ``raw_size``, |S| before the cut, and ``update``,
-    the Update read, ``"gather"`` or ``"rows"``: 0, 0 and None if no gamma
-    was certified).
+    ``round_s``) and ``counters`` (``gamma_rounds``; and for the certified
+    gamma ``mwu_iterations``, the MWU iterations its x_hat averages (at
+    most :func:`mwu.iterations`' T, fewer when MWU stopped early),
+    ``lp2_violation``, x_hat's violation of Constraints (11) as MWU
+    measured it, ``incidence_pairs``, B's (point, node) pairs,
+    ``raw_size``, |S| before the cut, and ``update``, the Update read,
+    ``"gather"`` or ``"rows"``: 0, None, 0, 0 and None if no gamma was
+    certified).
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0; got {eps}")
@@ -190,11 +194,11 @@ def certify_and_round(
     def attempt(gamma: float):
         prob = mwu.MWUProblem(X, colors, quotas, gamma, eps, tree)
         t0 = time.perf_counter()
-        xhat = mwu.solve(prob, g=g)
+        sol = mwu.solve(prob, g=g)
         build_s = prob.incidence.build_s
         timings["incidence_s"] += build_s
         timings["mwu_s"] += time.perf_counter() - t0 - build_s
-        return None if xhat is None else (prob, xhat)
+        return None if sol is None else (prob, sol)
 
     feasible, rounds = None, 0
     if k >= 2:  # with fewer than 2 points every set has diversity inf: nothing to certify
@@ -203,17 +207,18 @@ def certify_and_round(
         timings["gamma_bound_s"] = time.perf_counter() - t0
         feasible, rounds = geometric_descent(attempt, start)
 
-    counters = {"gamma_rounds": rounds, "mwu_iterations": mwu.iterations(len(X), k, eps, g) if rounds else 0,
+    counters = {"gamma_rounds": rounds, "mwu_iterations": 0, "lp2_violation": None,
                 "incidence_pairs": 0, "raw_size": 0, "update": None}
     if feasible is None:
         sel, gamma, extras = fallback_selection(colors, quotas), 0.0, {}
     else:
-        prob, xhat = feasible
+        prob, sol = feasible
         t0 = time.perf_counter()
-        sel, extras = rounding(prob, xhat)
+        sel, extras = rounding(prob, sol.xhat)
         timings["round_s"] = time.perf_counter() - t0
         gamma, inc = prob.gamma, prob.incidence
-        counters.update(incidence_pairs=len(inc.cover_pt), raw_size=len(sel),
+        counters.update(mwu_iterations=sol.iterations, lp2_violation=sol.violation,
+                        incidence_pairs=len(inc.cover_pt), raw_size=len(sel),
                         update="gather" if inc.gathers(k) else "rows")
         sel = sel[np.sort(fallback_selection(colors[sel], quotas))]
     return FairDivResult.of(X, colors, quotas, sel, gamma=gamma, rounds=rounds, **extras,
@@ -241,7 +246,7 @@ def mfd(
     of each color j (the paper returns them all), so |S(c_j)| <= k_j and
     div(S) can only grow. ``extras['lp2_violation']`` is the additive
     error of Constraints (11) over those neighborhoods at the certified
-    gamma.
+    gamma, measured apart from MWU by :func:`mwu.lp2_violation`.
     """
     rng = np.random.default_rng(seed)
 

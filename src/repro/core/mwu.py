@@ -34,13 +34,17 @@ neighborhood kind:
   path — the paper's near-linear Algorithms 2–4.
 
 The oracle is a rho-ORACLE with rho = k (its solution sets exactly k
-variables to 1, so A_i x - b_i in [-1, k-1]).
+variables to 1, so A_i x - b_i in [-1, k-1]). The loop sums Update's
+counts, so it knows the running average's A x_hat exactly and stops at
+the first power-of-two iteration where that is already within eps/2 of
+LP2; the paper's T is the cap (:func:`solve`).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,20 +211,38 @@ def _oracle(inc: Incidence, h: np.ndarray, groups) -> np.ndarray | None:
 
 
 def iterations(n: int, k: int, eps: float, g: float) -> int:
-    """MWU's T = ceil(g * T_full) with T_full = ceil(eps^-2 k ln n) (the
-    paper's early-stopping parameterization, Section 6)."""
+    """MWU's iteration cap T = ceil(g * T_full) with T_full =
+    ceil(eps^-2 k ln n) (the paper's early-stopping parameterization,
+    Section 6)."""
     T_full = int(np.ceil(eps**-2 * k * np.log(max(n, 2))))
     return max(1, int(np.ceil(g * T_full)))
 
 
-def solve(prob: MWUProblem, *, g: float = 0.3) -> np.ndarray | None:
-    """MWU main loop over :func:`iterations` T iterations. Returns x_hat or
-    None (infeasible)."""
+class Solution(NamedTuple):
+    """MWU's x_hat, the iterations t that averaged it, and its LP2
+    violation max_l A_l x_hat - 1 read from Update's counts."""
+
+    xhat: np.ndarray
+    iterations: int
+    violation: float
+
+
+def solve(prob: MWUProblem, *, g: float = 0.3) -> Solution | None:
+    """MWU main loop, at most :func:`iterations` T iterations. Returns None
+    (infeasible) when the Oracle fails.
+
+    Update's counts summed over t iterations are t A x_hat_t, exactly
+    (integers far below 2^53; the loop keeps their excess over t). At
+    t = 1, 2, 4, ... it stops early when max_l t A_l x_hat_t <=
+    t (1 + eps/2): that x_hat_t, a convex combination of Oracle outputs,
+    lies in P and meets Constraints (11) within eps/2, the certificate
+    Round needs; T only bounds how long reaching one can take (a
+    departure from the paper's fixed T)."""
     n = len(prob.X)
     k = int(prob.quotas.sum())
     inc = prob.incidence
     if k == 0:
-        return np.zeros(n)
+        return Solution(np.zeros(n), 0, -1.0)
     groups = _color_groups(prob.colors, prob.quotas)
     if groups is None:
         return None
@@ -235,17 +257,24 @@ def solve(prob: MWUProblem, *, g: float = 0.3) -> np.ndarray | None:
     T = iterations(n, k, prob.eps, g)
     h = np.full(n, 1.0 / n)
     xhat = np.zeros(n)
+    excess = np.zeros(n)  # t (A x_hat_t - 1), summed from Update's counts
     eta = prob.eps / 4.0
-    for _ in range(T):
+    for t in range(1, T + 1):
         sel = _oracle(inc, h, groups)
         if sel is None:
             return None
         xhat[sel] += 1.0
-        # Algorithm 3: delta_l = (A_l xbar - 1) / k; h_l *= (1 + eta delta_l).
-        delta = (update(sel) - 1.0) / k
-        h *= 1.0 + eta * delta
+        # Algorithm 3: delta_l = (A_l xbar - 1) / k; h_l *= (1 + eta delta_l),
+        # in place on one array.
+        delta = update(sel) - 1.0
+        excess += delta
+        if t == T or ((t & (t - 1)) == 0 and excess.max() + t <= t * (1.0 + prob.eps / 2.0)):
+            return Solution(xhat / t, t, float(excess.max() / t))
+        delta /= k
+        delta *= eta
+        delta += 1.0
+        h *= delta
         h /= h.sum()
-    return xhat / T
 
 
 def round_solution(prob: MWUProblem, xhat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -281,5 +310,6 @@ round_dense = round_tree = round_solution
 def lp2_violation(prob: MWUProblem, xhat: np.ndarray) -> float:
     """Max over points p of (sum_{i in S^eps_p} x_i) - 1 — the additive
     error of Constraints (11) over the neighborhoods MWU solved (exact
-    balls, or tree covers); MWU guarantees <= eps for full T."""
+    balls, or tree covers), by one :meth:`Incidence.rows` pass; MWU
+    guarantees <= eps for full T, and <= eps/2 when it stops early."""
     return float(prob.incidence.rows(xhat).max() - 1.0)

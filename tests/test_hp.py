@@ -116,7 +116,7 @@ def test_hp_selection_is_maximal(seed, monkeypatch):
     quotas = np.array([3, 3, 3])
     res = mfd_hp(X, colors, quotas, eps=1.0, g=0.5, seed=seed)
     prob = mwu.MWUProblem(X, colors, quotas, res.gamma, 1.0)
-    yhat = transform_to_separated(X, colors, mwu.solve(prob, g=0.5), res.gamma, 1.0)
+    yhat = transform_to_separated(X, colors, mwu.solve(prob, g=0.5).xhat, res.gamma, 1.0)
     assert raw
     for sel in raw:
         D = pairwise_distances(X[yhat > 0], X[sel])

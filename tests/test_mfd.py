@@ -266,7 +266,16 @@ def test_extras_record_stage_timings_and_counters(backend):
     assert set(timings) == {"gamma_bound_s", "incidence_s", "mwu_s", "round_s"}
     assert all(t > 0 for t in timings.values())
     assert counters["gamma_rounds"] == res.n_mwu_rounds >= 1
-    assert counters["mwu_iterations"] == int(np.ceil(0.3 * np.ceil(6 * np.log(60))))
+    # The certified round's iterations, at most T = ceil(g eps^-2 k ln n),
+    # and its LP2 violation: re-solving at the certified gamma repeats both.
+    from repro.core import mwu
+    from repro.core.kdtree import KDTree
+
+    tree = KDTree(X) if backend == "tree" else None
+    sol = mwu.solve(mwu.MWUProblem(X, colors, np.array([2, 2, 2]), res.gamma, 1.0, tree), g=0.3)
+    assert 1 <= counters["mwu_iterations"] == sol.iterations <= int(np.ceil(0.3 * np.ceil(6 * np.log(60))))
+    assert counters["lp2_violation"] == sol.violation
+    assert counters["lp2_violation"] == pytest.approx(res.extras["lp2_violation"], abs=1e-12)
     assert counters["incidence_pairs"] >= 60  # every point covers itself
     assert counters["update"] in ("gather", "rows")
 
@@ -294,6 +303,8 @@ def test_k_below_two_tries_no_gamma(solver, quotas):
     assert res.extras["counters"]["incidence_pairs"] == 0
     assert res.extras["counters"]["raw_size"] == 0
     assert res.extras["counters"]["gamma_rounds"] == 0
+    assert res.extras["counters"]["mwu_iterations"] == 0
+    assert res.extras["counters"]["lp2_violation"] is None
 
 
 # The four gamma-search loops that the two shared ones replaced (MFD's

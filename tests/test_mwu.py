@@ -1,5 +1,6 @@
 """MWU Oracle / Update / Round over both neighborhood kinds, vs
 brute-force references."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -51,14 +52,17 @@ def _oracle_xbar(inc, h, colors, quotas):
 
 def _reference_solve(prob, g):
     """The MWU loop with a dense x̄: per-color index lists, ``argpartition``
-    of ``w[idx]``, and Update by two ``bincount`` passes over every pair."""
+    of ``w[idx]``, and Update by two ``bincount`` passes over every pair.
+    It stops at the first t in 1, 2, 4, ... whose summed rows are at most
+    t (1 + eps/2), else at T. Returns (x̂, t), or None."""
     inc = prob.incidence
     n, k = len(prob.X), int(prob.quotas.sum())
     T = max(1, int(np.ceil(g * int(np.ceil(prob.eps**-2 * k * np.log(max(n, 2)))))))
     by_color = [np.where(prob.colors == j)[0] for j in range(len(prob.quotas))]
     h = np.full(n, 1.0 / n)
     xhat = np.zeros(n)
-    for _ in range(T):
+    mass = np.zeros(n)
+    for t in range(1, T + 1):
         per_node = np.bincount(inc.cover_node, weights=h[inc.cover_pt], minlength=inc.n_nodes)
         w = np.bincount(inc.member_pt, weights=per_node[inc.member_node], minlength=n)
         sel = []
@@ -77,27 +81,36 @@ def _reference_solve(prob, g):
         xhat += xbar
         per_node = np.bincount(inc.member_node, weights=xbar[inc.member_pt], minlength=inc.n_nodes)
         rows = np.bincount(inc.cover_pt, weights=per_node[inc.cover_node], minlength=n)
+        mass += rows
+        if bin(t).count("1") == 1 and mass.max() <= t * (1.0 + prob.eps / 2.0):
+            break
         h *= 1.0 + prob.eps / 4.0 * (rows - 1.0) / k
         h /= h.sum()
-    return xhat / T
+    return xhat / t, t
 
 
 @pytest.mark.parametrize("kind", ["dense", "tree"])
 @pytest.mark.parametrize(
-    "n, gamma, gathers", [(40, 2.0, False), (600, 3.0, True), (600, 60.0, True)],
-    ids=["rows", "gather", "infeasible"],
+    "n, gamma, gathers, stop",
+    [(40, 2.0, False, 1), (600, 3.0, True, 1), (100, 9.25, False, 2), (600, 14.0, True, 32), (600, 60.0, True, None)],
+    ids=["rows", "gather", "rows-stop-2", "gather-to-T", "infeasible"],
 )
-def test_solve_bit_identical_to_dense_xbar_loop(kind, n, gamma, gathers):
+def test_solve_bit_identical_to_dense_xbar_loop(kind, n, gamma, gathers, stop):
     """x̂ equals the dense-x̄ reference loop exactly, on both Update reads
     (small incidences read every pair; large ones gather from the
-    selection) and with a zero-quota color."""
+    selection) and with a zero-quota color, whether MWU stops at the first
+    checkpoint, at a later one, or at T = 32 with no checkpoint passing."""
     X, colors = _instance(n=n, seed=4)
     quotas = np.array([3, 0, 2])
     prob = _problem(X, colors, quotas, gamma=gamma, eps=1.0, kind=kind)
     assert prob.incidence.gathers(int(quotas.sum())) == gathers
     got, want = mwu.solve(prob, g=1.0), _reference_solve(prob, g=1.0)
-    assert (got is None) == (want is None) == (gamma > 10)
-    assert got is None or np.array_equal(got, want)
+    assert (got is None) == (want is None) == (stop is None)
+    if stop is not None:
+        assert np.array_equal(got.xhat, want[0])
+        assert got.iterations == want[1] == stop
+        assert got.violation == pytest.approx(mwu.lp2_violation(prob, got.xhat), abs=1e-12)
+        assert (got.violation <= 0.5) == (stop < mwu.iterations(n, 5, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("kind", ["dense", "tree"])
@@ -212,8 +225,7 @@ def test_solve_satisfies_trivial_constraints(backend, seed):
     X, colors = _instance(seed=seed)
     quotas = np.array([2, 2, 2])
     prob = _problem(X, colors, quotas, gamma=1.0, eps=1.0, kind=backend)
-    xhat = mwu.solve(prob, g=1.0)
-    assert xhat is not None
+    xhat = mwu.solve(prob, g=1.0).xhat
     # Constraints (10) and (12) hold exactly (P is satisfied by every oracle).
     for j in range(3):
         assert xhat[colors == j].sum() == pytest.approx(quotas[j], abs=1e-9)
@@ -221,19 +233,60 @@ def test_solve_satisfies_trivial_constraints(backend, seed):
 
 
 def test_solve_full_T_bounds_lp2_violation():
-    """With full T (g=1) the averaged solution satisfies Constraints (11)
-    within additive eps (Theorem 2.2)."""
+    """With g=1 the averaged solution satisfies Constraints (11) within
+    additive eps after the full T (Theorem 2.2), and within eps/2 when MWU
+    stops early."""
     X, colors = _instance(n=30, seed=1)
-    quotas = np.array([1, 1, 1])
     eps = 0.5
-    # Large pairwise distances: pick gamma small so LP2 is clearly feasible.
-    prob = mwu.MWUProblem(X, colors, quotas, gamma=0.5, eps=eps)
-    xhat = mwu.solve(prob, g=1.0)
-    assert xhat is not None
-    assert mwu.lp2_violation(prob, xhat) <= eps + 1e-9
-    # Same value as the brute-force ball matrix gives.
-    A = ball_matrix(X, prob.radius).astype(float)
-    assert mwu.lp2_violation(prob, xhat) == pytest.approx((A @ xhat).max() - 1.0, abs=1e-12)
+    # Large pairwise distances: gamma 0.5 is clearly feasible, and MWU stops
+    # at t = 1; at gamma 5.0 with quotas 3 no checkpoint passes.
+    for quotas, gamma, early in (([1, 1, 1], 0.5, True), ([3, 3, 3], 5.0, False)):
+        prob = mwu.MWUProblem(X, colors, np.array(quotas), gamma=gamma, eps=eps)
+        sol = mwu.solve(prob, g=1.0)
+        T = mwu.iterations(len(X), sum(quotas), eps, 1.0)
+        assert (sol.iterations < T) == early
+        assert mwu.lp2_violation(prob, sol.xhat) <= (eps / 2 if early else eps) + 1e-9
+        # Same value as the brute-force ball matrix gives.
+        A = ball_matrix(X, prob.radius).astype(float)
+        assert mwu.lp2_violation(prob, sol.xhat) == pytest.approx((A @ sol.xhat).max() - 1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["dense", "tree", "hp", "coreset"])
+def test_early_stop_is_an_lp2_certificate(solver, monkeypatch):
+    """Whenever MWU returns before T, inside ``mfd`` (dense, tree),
+    ``mfd_hp`` and ``solve_coreset`` on a seeded grid, its x̂ lies in P
+    (sum k_j per color j, 0 <= x̂ <= 1) and meets Constraints (11) within
+    eps/2, as :func:`mwu.lp2_violation` measures it apart from MWU."""
+    from repro.core.coreset import coreset_numpy
+    from repro.core.hp import mfd_hp
+    from repro.core.mfd import mfd, solve_coreset
+
+    calls, solve = [], mwu.solve
+
+    def recording(prob, **kw):
+        calls.append((prob, kw["g"], solve(prob, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(mwu, "solve", recording)
+    for (n, k), seed, eps in itertools.product([(120, 9), (400, 60)], range(3), [1.0, 0.5]):
+        X, colors = _instance(n=n, d=2 + seed, seed=seed)
+        quotas = np.full(3, k // 3)
+        if solver == "hp":
+            mfd_hp(X, colors, quotas, eps=eps, seed=seed)
+        elif solver == "coreset":
+            sel, _ = coreset_numpy(X, colors, k)
+            solve_coreset(X[sel], colors[sel], quotas, eps=eps, seed=seed)
+        else:
+            mfd(X, colors, quotas, eps=eps, backend=solver, seed=seed)
+    early = [(prob, sol) for prob, g, sol in calls if sol is not None
+             and sol.iterations < mwu.iterations(len(prob.X), int(prob.quotas.sum()), prob.eps, g)]
+    assert early
+    for prob, sol in early:
+        xhat = sol.xhat
+        assert mwu.lp2_violation(prob, xhat) <= prob.eps / 2 + 1e-12
+        sums = np.bincount(prob.colors, weights=xhat, minlength=len(prob.quotas))
+        np.testing.assert_allclose(sums, prob.quotas, atol=1e-9)
+        assert np.all((xhat >= 0) & (xhat <= 1))
 
 
 def test_infeasible_when_gamma_huge():
@@ -255,8 +308,7 @@ def test_round_separation(backend, seed):
     because conflicts only widen)."""
     X, colors = _instance(n=50, seed=seed)
     quotas = np.array([2, 2, 2])
-    xhat = mwu.solve(mwu.MWUProblem(X, colors, quotas, gamma=1.2, eps=1.0), g=0.5)
-    assert xhat is not None
+    xhat = mwu.solve(mwu.MWUProblem(X, colors, quotas, gamma=1.2, eps=1.0), g=0.5).xhat
     prob = _problem(X, colors, quotas, gamma=1.2, eps=1.0, kind=backend)
     sel = mwu.round_solution(prob, xhat, np.random.default_rng(seed))
     assert len(sel) == len(set(sel.tolist()))
@@ -273,8 +325,7 @@ def test_round_fairness_in_expectation(kind):
     quotas = np.array([2, 2, 2])
     eps = 1.0
     prob = _problem(X, colors, quotas, gamma=1.0, eps=eps, kind=kind)
-    xhat = mwu.solve(prob, g=1.0)
-    assert xhat is not None
+    xhat = mwu.solve(prob, g=1.0).xhat
     rng = np.random.default_rng(0)
     trials = 300
     got = np.zeros(3)

@@ -56,13 +56,15 @@ def test_sfdm2_grid_density_vs_eps():
 
 
 @pytest.mark.parametrize("n", [200, 800])
-def test_mwu_iteration_count_matches_theory(n):
-    """T = ceil(g * eps^-2 * k * ln n) — the early-stopping contract."""
+def test_mwu_iteration_count_matches_theory(n, monkeypatch):
+    """T = ceil(g * eps^-2 * k * ln n) caps MWU — the early-stopping
+    contract. At gamma = 0.1 the balls are singletons, so the first Oracle
+    output is already an LP2 certificate and MWU stops after one call; at
+    gamma = 4.5 no checkpoint (t = 1, 2, 4, 8) passes and MWU runs all T."""
     from repro.core import mwu
 
     X, colors = _stream(n, 2, 2, 3)
     quotas = np.array([2, 2])
-    prob = mwu.MWUProblem(X, colors, quotas, gamma=0.1, eps=1.0)
     # Count oracle calls by monkey-patching.
     calls = {"n": 0}
     orig = mwu._oracle
@@ -71,13 +73,13 @@ def test_mwu_iteration_count_matches_theory(n):
         calls["n"] += 1
         return orig(*a, **k)
 
-    mwu._oracle = counting
-    try:
-        mwu.solve(prob, g=0.3)
-    finally:
-        mwu._oracle = orig
+    monkeypatch.setattr(mwu, "_oracle", counting)
     expect = int(np.ceil(0.3 * np.ceil(4 * np.log(n))))
-    assert calls["n"] == expect
+    for gamma, iterations in ((0.1, 1), (4.5, expect)):
+        calls["n"] = 0
+        sol = mwu.solve(mwu.MWUProblem(X, colors, quotas, gamma=gamma, eps=1.0), g=0.3)
+        assert calls["n"] == sol.iterations == iterations
+    assert expect == mwu.iterations(n, 4, 1.0, 0.3) > 4
 
 
 def test_mfd_spark_wrapper(spark):
