@@ -23,8 +23,6 @@ from repro.data.datasets import dataset_arrays
 K = 100
 SCALES = (0.02, 0.05, 0.1, 0.15, 0.2)  # census n = 48,522 ... 485,223
 TASKS = (1, 4, 16, 64)
-# Checkouts that predate the helper run their tasks without it.
-_first_call = getattr(coreset, "skip_unchanged_zip_rereads", lambda: None)
 
 
 def _median_s(fn, runs: int) -> float:
@@ -47,7 +45,7 @@ def _census(spark, scale: float):
 
 
 def _noop(batches):
-    _first_call()
+    coreset.skip_unchanged_zip_rereads()
     for _ in batches:
         pass
     return iter(())
@@ -58,7 +56,7 @@ def _task_split(batches):
     worker makes before each task, and the zip archives it re-read."""
     import pandas as pd
 
-    _first_call()
+    coreset.skip_unchanged_zip_rereads()
     t0 = time.perf_counter()
     for _ in batches:
         pass

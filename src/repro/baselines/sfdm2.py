@@ -64,7 +64,7 @@ class SFDM2:
     def insert(self, p: np.ndarray, color: int) -> None:
         """One streaming arrival: O(|M| * k) distance work, after
         :func:`repro.core.streaming.check_arrival`."""
-        p, color = check_arrival(p, color, self.m)
+        p, color = check_arrival(p, color, self.d, self.m)
         self.n_seen += 1
         for t, mu in enumerate(self.mus):
             G = self.glob[t]

@@ -103,42 +103,17 @@ def dists_to_point(X: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def dists_to_point_cm(XT: np.ndarray, p: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`dists_to_point` of a C-contiguous X, bit for bit, from its
-    coordinate-major copy ``XT = np.ascontiguousarray(X.T)`` of shape (d, n):
-    one subtract, one square and a row sum, each over whole coordinate
-    rows, into the scratch ``buf`` (shape of XT, overwritten) and ``out``
-    (shape (n,), returned)."""
+    """:func:`dists_to_point` of X from its coordinate-major copy
+    ``XT = np.ascontiguousarray(X.T)`` of shape (d, n): one subtract, one
+    square and one sum, each over whole coordinate rows, into the scratch
+    ``buf`` (shape of XT, overwritten) and ``out`` (shape (n,), returned).
+    The squares are added in coordinate order, so the bits equal
+    :func:`dists_to_point`'s for d < 8, where numpy's row sum adds in that
+    order too, and are within rounding of them above."""
     np.subtract(XT, p[:, None], out=buf)
     np.multiply(buf, buf, out=buf)
-    _sum_rows(buf, out)
+    np.add.reduce(buf, axis=0, out=out)
     return np.sqrt(out, out=out)
-
-
-def _sum_rows(buf: np.ndarray, out: np.ndarray) -> None:
-    """``out = buf.sum(axis=0)`` in the order numpy's pairwise sum adds a
-    contiguous run of d values (``pairwise_sum`` in numpy's
-    ``loops_utils.h``), so that it equals a row sum of the (n, d)
-    transpose: in sequence for d < 8; else eight accumulators over
-    8-row strides, combined ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, plus
-    the leftover rows in sequence; past 128 rows, two halves (the first a
-    multiple of 8) summed apart and added. Overwrites ``buf``."""
-    d = len(buf)
-    if d < 8:
-        np.add.reduce(buf, axis=0, out=out)
-    elif d > 128:
-        half = d // 2 - (d // 2) % 8
-        _sum_rows(buf[:half], out)
-        _sum_rows(buf[half:], buf[half])
-        out += buf[half]
-    else:
-        full = d - d % 8
-        for i in range(8, full, 8):
-            buf[:8] += buf[i : i + 8]
-        np.add(buf[0:8:2], buf[1:8:2], out=buf[0:8:2])
-        np.add(buf[0:8:4], buf[2:8:4], out=buf[0:8:4])
-        np.add(buf[0], buf[4], out=out)
-        for i in range(full, d):
-            out += buf[i]
 
 
 # Rows per step of :func:`greedy_net`, measured pairwise so that a run of

@@ -10,8 +10,7 @@ per-node Gonzalez *prefixes* of it. :func:`gonzalez` is its order alone;
 Each step measures one point against all rows with
 :func:`repro.core.geometry.dists_to_point_cm` over a coordinate-major copy
 of X made once per call: whole coordinate rows per numpy call instead of
-a short row sum per point, with the bits of
-:func:`repro.core.geometry.dists_to_point`.
+a short row sum per point.
 
 Composability (run Gonzalez per partition, then on the union of the
 partial centers) yields a constant-factor k-center solution, which is
@@ -46,9 +45,9 @@ def gonzalez_order(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     so on input with fewer than k distinct points the tail holds duplicates
     at radius 0. The radii are non-increasing;
     prefix ``order[:t]`` is a valid Gonzalez run for k'=t, which makes
-    stored prefixes reusable for any query k. Distances are those of
-    :func:`repro.core.geometry.dists_to_point` on a C-contiguous X, bit for
-    bit, whatever X's memory layout.
+    stored prefixes reusable for any query k. Distances are
+    :func:`repro.core.geometry.dists_to_point_cm`'s, whatever X's memory
+    layout.
     """
     X = np.asarray(X, dtype=np.float64)
     k = max(0, min(int(k), len(X)))

@@ -73,7 +73,8 @@ def mfd_hp(
 ) -> FairDivResult:
     """Theorem 3.3: constant approximation with fairness holding w.p. >= 1-delta
     (given large-enough k_j; for small k_j the repeats still help).
-    ``extras['r_reject']`` is the rejection radius, a lower bound on div(S)."""
+    ``extras['r_reject']`` is the rejection radius at the result's gamma, a
+    lower bound on div(S)."""
     rng = np.random.default_rng(seed)
 
     def rounding(prob: mwu.MWUProblem, xhat: np.ndarray):
@@ -91,6 +92,8 @@ def mfd_hp(
                 best_sel, best_cover = sel, cover
             if np.all(got >= target):
                 break
-        return best_sel, {"r_reject": reject.radius}
+        return best_sel
 
-    return certify_and_round(X, colors, quotas, rounding, eps=eps, g=g)
+    res = certify_and_round(X, colors, quotas, rounding, eps=eps, g=g)
+    res.extras["r_reject"] = res.gamma / (3.0 * (1.0 + eps) ** 2) / (2.0 * (1.0 + eps))  # reject.radius
+    return res

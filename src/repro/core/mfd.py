@@ -49,25 +49,26 @@ class FairDivResult:
     diversity: float  # realized div(S)
     colors: np.ndarray  # colors of the selected points
     missed: np.ndarray  # per-color shortfall vs quotas (Table 4 metric)
-    n_mwu_rounds: int  # number of gamma values MWU tried
     extras: dict = field(default_factory=dict)
 
     @classmethod
-    def of(cls, X, colors, quotas, sel, *, gamma=0.0, rounds=0, **extras) -> "FairDivResult":
+    def of(cls, X, colors, quotas, sel, *, gamma=0.0, **extras) -> "FairDivResult":
         """The result that selects rows ``sel`` of ``(X, colors)``: div(S),
         the selected colors and the misses against ``quotas`` are computed
         here, and nowhere else."""
         sel = np.asarray(sel, dtype=np.int64)
         sel_colors = colors[sel]
         missed = missed_per_color(sel_colors, quotas)
-        return cls(sel, gamma, diversity(X[sel]), sel_colors, missed, rounds, extras)
+        return cls(sel, gamma, diversity(X[sel]), sel_colors, missed, extras)
 
 
 def check_quotas(quotas) -> np.ndarray:
-    """``quotas`` as an int64 array. Raises ``ValueError`` for a quota that
-    is negative or not an integer, rather than failing later or cutting it
-    to an integer."""
+    """``quotas`` as a 1-D int64 array. Raises ``ValueError`` for another
+    shape or a quota that is negative or not an integer, rather than failing
+    later or cutting it to an integer."""
     q = np.asarray(quotas)
+    if q.ndim != 1:
+        raise ValueError(f"quotas must be a 1-D array; got shape {q.shape}")
     if not np.all(np.isfinite(q) & (q >= 0) & (q == np.floor(q))):
         raise ValueError(f"quotas must be non-negative integers; got {q.tolist()}")
     return q.astype(np.int64)
@@ -75,12 +76,15 @@ def check_quotas(quotas) -> np.ndarray:
 
 def check_instance(X, colors, quotas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(X, colors, quotas)`` as float64, int64 and int64 arrays. Raises
-    ``ValueError`` for a non-finite coordinate, a color id outside [0, m),
-    m = len(quotas), or a quota :func:`check_quotas` rejects; quotas a
-    color cannot meet are not checked."""
+    ``ValueError`` unless X is (n, d) and colors (n,), and for a non-finite
+    coordinate, a color id outside [0, m), m = len(quotas), or a quota
+    :func:`check_quotas` rejects; quotas a color cannot meet are not
+    checked."""
     X = np.asarray(X, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.int64)
     quotas = check_quotas(quotas)
+    if X.ndim != 2 or colors.shape != X.shape[:1]:
+        raise ValueError(f"X must be (n, d) and colors (n,); got shapes {X.shape} and {colors.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("X has non-finite coordinates (NaN or inf)")
     color_counts(colors, len(quotas))  # raises on an id outside [0, m)
@@ -145,7 +149,7 @@ def certify_and_round(
     X: np.ndarray,
     colors: np.ndarray,
     quotas: np.ndarray,
-    rounding: Callable[[mwu.MWUProblem, np.ndarray], tuple[np.ndarray, dict]],
+    rounding: Callable[[mwu.MWUProblem, np.ndarray], np.ndarray],
     *,
     eps: float,
     g: float,
@@ -157,7 +161,7 @@ def certify_and_round(
     certifies feasible (:func:`geometric_descent` from
     :func:`gamma_upper_bound`, at most ~170 rounds; :func:`mwu.solve` may
     certify before its T iterations), and round its x_hat
-    with ``rounding(prob, xhat) -> (indices, extras)``. The answer is the
+    with ``rounding(prob, xhat) -> indices``. The answer is the
     first k_j picks of each color j of Round's set, in sampling order, so
     |S(c_j)| <= k_j. If no gamma is certified, the result is
     :func:`fallback_selection`, a fair set, with gamma 0. That is always so
@@ -166,10 +170,11 @@ def certify_and_round(
     gamma is tried: k = 0 gives the empty set and k = 1 the first row of
     the needed color, both with gamma 0.
 
-    ``extras`` also gets ``timings`` (wall seconds: ``gamma_bound_s``, the
+    ``extras`` holds ``timings`` (wall seconds: ``gamma_bound_s``, the
     upper bound; ``incidence_s`` and ``mwu_s``, the neighborhood builds
     and the MWU loops summed over the gamma rounds;
-    ``round_s``) and ``counters`` (``gamma_rounds``; and for the certified
+    ``round_s``) and ``counters`` (``gamma_rounds``, the gamma values
+    tried; and for the certified
     gamma ``mwu_iterations``, the MWU iterations its x_hat averages (at
     most :func:`mwu.iterations`' T, fewer when MWU stopped early),
     ``lp2_violation``, x_hat's violation of Constraints (11) as MWU
@@ -194,10 +199,11 @@ def certify_and_round(
     def attempt(gamma: float):
         prob = mwu.MWUProblem(X, colors, quotas, gamma, eps, tree)
         t0 = time.perf_counter()
+        prob.incidence  # built and cached here, so that it is timed apart from MWU
+        t1 = time.perf_counter()
         sol = mwu.solve(prob, g=g)
-        build_s = prob.incidence.build_s
-        timings["incidence_s"] += build_s
-        timings["mwu_s"] += time.perf_counter() - t0 - build_s
+        timings["incidence_s"] += t1 - t0
+        timings["mwu_s"] += time.perf_counter() - t1
         return None if sol is None else (prob, sol)
 
     feasible, rounds = None, 0
@@ -210,19 +216,18 @@ def certify_and_round(
     counters = {"gamma_rounds": rounds, "mwu_iterations": 0, "lp2_violation": None,
                 "incidence_pairs": 0, "raw_size": 0, "update": None}
     if feasible is None:
-        sel, gamma, extras = fallback_selection(colors, quotas), 0.0, {}
+        sel, gamma = fallback_selection(colors, quotas), 0.0
     else:
         prob, sol = feasible
         t0 = time.perf_counter()
-        sel, extras = rounding(prob, sol.xhat)
+        sel = rounding(prob, sol.xhat)
         timings["round_s"] = time.perf_counter() - t0
         gamma, inc = prob.gamma, prob.incidence
         counters.update(mwu_iterations=sol.iterations, lp2_violation=sol.violation,
                         incidence_pairs=len(inc.cover_pt), raw_size=len(sel),
                         update="gather" if inc.gathers(k) else "rows")
         sel = sel[np.sort(fallback_selection(colors[sel], quotas))]
-    return FairDivResult.of(X, colors, quotas, sel, gamma=gamma, rounds=rounds, **extras,
-                            timings=timings, counters=counters)
+    return FairDivResult.of(X, colors, quotas, sel, gamma=gamma, timings=timings, counters=counters)
 
 
 def mfd(
@@ -244,16 +249,11 @@ def mfd(
     covers, the paper's Algorithms 2–4. Round is Algorithm 4 at the LP2
     radius; of its picks, :func:`certify_and_round` keeps the first k_j
     of each color j (the paper returns them all), so |S(c_j)| <= k_j and
-    div(S) can only grow. ``extras['lp2_violation']`` is the additive
-    error of Constraints (11) over those neighborhoods at the certified
-    gamma, measured apart from MWU by :func:`mwu.lp2_violation`.
+    div(S) can only grow.
     """
     rng = np.random.default_rng(seed)
-
-    def rounding(prob: mwu.MWUProblem, xhat: np.ndarray):
-        return mwu.round_solution(prob, xhat, rng), {"lp2_violation": mwu.lp2_violation(prob, xhat)}
-
-    return certify_and_round(X, colors, quotas, rounding, eps=eps, g=g, backend=backend)
+    return certify_and_round(X, colors, quotas, lambda prob, xhat: mwu.round_solution(prob, xhat, rng),
+                             eps=eps, g=g, backend=backend)
 
 
 def solve_coreset(Xc: np.ndarray, cc: np.ndarray, quotas: np.ndarray, *, solver=None, **kwargs):

@@ -41,8 +41,7 @@ LP2; the paper's T is the cap (:func:`solve`).
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -80,7 +79,6 @@ class Incidence:
     member_pt: np.ndarray  # P: point member_pt[e] lies under node member_node[e]
     member_node: np.ndarray
     exact: bool = False
-    build_s: float = field(default=0.0, compare=False)  # set by MWUProblem.incidence
 
     def __post_init__(self) -> None:
         bounds = np.arange(self.n_points + 1)
@@ -166,18 +164,14 @@ class MWUProblem:
     @cached_property
     def incidence(self) -> Incidence:
         """This gamma's neighborhood incidence, shared by solve, round and
-        :func:`lp2_violation`; its ``build_s`` is the build's wall time."""
-        t0 = time.perf_counter()
+        :func:`lp2_violation`."""
         n = len(self.X)
         if self.tree is None:
             cover_pt, cover_node = pairs_within(self.X, self.radius)
             ident = np.arange(n)
-            inc = Incidence(n, n, cover_pt, cover_node, ident, ident, exact=True)
-        else:
-            cover_pt, cover_node = self.tree.canonical_nodes(self.X, self.radius, self.eps).T.copy()
-            inc = Incidence(n, self.tree.n_nodes, cover_pt, cover_node, *self.tree.leaf_paths())
-        inc.build_s = time.perf_counter() - t0
-        return inc
+            return Incidence(n, n, cover_pt, cover_node, ident, ident, exact=True)
+        cover_pt, cover_node = self.tree.canonical_nodes(self.X, self.radius, self.eps).T.copy()
+        return Incidence(n, self.tree.n_nodes, cover_pt, cover_node, *self.tree.leaf_paths())
 
 
 def _color_groups(colors: np.ndarray, quotas: np.ndarray):

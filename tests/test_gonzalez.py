@@ -67,7 +67,9 @@ def _gonzalez_order_rowmajor(X, k):
 @pytest.mark.parametrize("name", DATASET_NAMES)
 def test_order_and_radii_bitwise_equal_rowmajor_reference(name):
     """On every dataset (d = 2, 6 and 8), with and without duplicate rows,
-    at k = 20 and 100: the same order and radii, bit for bit."""
+    at k = 20 and 100: the same order, and the same radii, bit for bit
+    below d = 8 (where numpy's row sum adds coordinates in order, as the
+    coordinate-major kernel does) and within rounding from it up."""
     paper_n = dataset_arrays(name, scale=0.0)[2].paper_n
     X, _, _ = dataset_arrays(name, scale=1500 / paper_n)
     dup = np.round(X, 0)
@@ -76,7 +78,10 @@ def test_order_and_radii_bitwise_equal_rowmajor_reference(name):
         for k in (20, 100):
             got, want = gonzalez_order(Y, k), _gonzalez_order_rowmajor(Y, k)
             np.testing.assert_array_equal(got[0], want[0])
-            assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+            if Y.shape[1] < 8:
+                assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+            else:
+                assert np.allclose(got[1], want[1], rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("d", [2, 8, 9])

@@ -80,7 +80,7 @@ def test_mfd_trim_keeps_fairness_and_improves_div():
 
     def rounding(prob, xhat):
         raw.append(mwu.round_solution(prob, xhat, rng))
-        return raw[-1], {}
+        return raw[-1]
 
     res = certify_and_round(X, colors, quotas, rounding, eps=1.0, g=0.3)
     (sel,) = raw
@@ -182,14 +182,17 @@ def test_mfd_spark_coreset_smaller_than_quota_shows_as_miss(spark):
     "solver", ["dense", "tree", "hp", "coreset", "fairflow", "fairgreedyflow", "fmmds", "sfdm2_offline"]
 )
 @pytest.mark.parametrize(
-    "bad", ["nan", "inf", "color_ge_m", "negative_color", "negative_quota", "fractional_quota"]
+    "bad",
+    ["nan", "inf", "color_ge_m", "negative_color", "negative_quota", "fractional_quota",
+     "colors_length", "x_not_2d", "quotas_2d"],
 )
 def test_bad_input_raises_value_error(bad, solver):
-    """Non-finite coordinates, color ids outside [0, m) and quotas that are
-    negative or not integers are rejected with a clear ValueError by every
-    entry point, the baselines included, not turned into a nan diversity,
-    a numpy error, a silent answer that ignores the stray color, or a
-    quota cut to an integer."""
+    """Non-finite coordinates, color ids outside [0, m), quotas that are
+    negative or not integers, and X, colors or quotas of the wrong shape
+    are rejected with a clear ValueError by every entry point, the
+    baselines included, not turned into a nan diversity, a numpy error, a
+    silent answer that ignores the stray color or the rows without one,
+    or a quota cut to an integer."""
     from repro.baselines.fairflow import fairflow
     from repro.baselines.fairgreedyflow import fairgreedyflow
     from repro.baselines.fmmds import fmmds
@@ -198,7 +201,8 @@ def test_bad_input_raises_value_error(bad, solver):
     from repro.core.mfd import solve_coreset
 
     X, colors = _instance(30, 2, 2, seed=0)
-    quotas = {"negative_quota": np.array([-1, 3]), "fractional_quota": np.array([2.7, 2])}.get(bad, np.array([2, 2]))
+    quotas = {"negative_quota": np.array([-1, 3]), "fractional_quota": np.array([2.7, 2]),
+              "quotas_2d": np.array([[2, 2]])}.get(bad, np.array([2, 2]))
     if bad == "nan":
         X[5, 0] = np.nan
     elif bad == "inf":
@@ -207,6 +211,10 @@ def test_bad_input_raises_value_error(bad, solver):
         colors[5] = 2
     elif bad == "negative_color":
         colors[5] = -1
+    elif bad == "colors_length":
+        colors = colors[:25]
+    elif bad == "x_not_2d":
+        X = X[:, 0]
     run = {
         "dense": lambda: mfd(X, colors, quotas, backend="dense", seed=0),
         "tree": lambda: mfd(X, colors, quotas, backend="tree", seed=0),
@@ -217,7 +225,8 @@ def test_bad_input_raises_value_error(bad, solver):
         "fmmds": lambda: fmmds(X, colors, quotas),
         "sfdm2_offline": lambda: sfdm2_offline(X, colors, quotas, eps=0.5),
     }[solver]
-    with pytest.raises(ValueError, match="non-finite|color ids|quotas must be non-negative integers"):
+    match = {"colors_length": "X must be", "x_not_2d": "X must be", "quotas_2d": "quotas must be a 1-D array"}
+    with pytest.raises(ValueError, match=match.get(bad, "non-finite|color ids|quotas must be non-negative integers")):
         run()
 
 
@@ -254,30 +263,41 @@ def test_empty_coreset_gives_empty_selection(backend):
     res = solve_coreset(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.array([2, 1]), backend=backend)
     assert len(res.indices) == 0 and res.indices.dtype == np.int64
     assert res.missed.tolist() == [2, 1]
-    assert res.gamma == 0.0 and res.n_mwu_rounds == 0
+    assert res.gamma == 0.0 and res.extras["counters"]["gamma_rounds"] == 0
 
 
 @pytest.mark.parametrize("backend", ["dense", "tree"])
 def test_extras_record_stage_timings_and_counters(backend):
     """Every result carries per-stage wall seconds and the search's counters."""
+    from repro.core import mwu
+    from repro.core.kdtree import KDTree
+    from repro.core.mfd import certify_and_round
+
     X, colors = _instance(60, 2, 3, seed=3)
     res = mfd(X, colors, np.array([2, 2, 2]), backend=backend, seed=0)
     timings, counters = res.extras["timings"], res.extras["counters"]
     assert set(timings) == {"gamma_bound_s", "incidence_s", "mwu_s", "round_s"}
     assert all(t > 0 for t in timings.values())
-    assert counters["gamma_rounds"] == res.n_mwu_rounds >= 1
+    assert counters["gamma_rounds"] >= 1
     # The certified round's iterations, at most T = ceil(g eps^-2 k ln n),
     # and its LP2 violation: re-solving at the certified gamma repeats both.
-    from repro.core import mwu
-    from repro.core.kdtree import KDTree
-
     tree = KDTree(X) if backend == "tree" else None
     sol = mwu.solve(mwu.MWUProblem(X, colors, np.array([2, 2, 2]), res.gamma, 1.0, tree), g=0.3)
     assert 1 <= counters["mwu_iterations"] == sol.iterations <= int(np.ceil(0.3 * np.ceil(6 * np.log(60))))
     assert counters["lp2_violation"] == sol.violation
-    assert counters["lp2_violation"] == pytest.approx(res.extras["lp2_violation"], abs=1e-12)
     assert counters["incidence_pairs"] >= 60  # every point covers itself
     assert counters["update"] in ("gather", "rows")
+    # The violation MWU read from Update's counts equals x_hat's, measured
+    # apart by one pass over the certified gamma's incidence.
+    kept = []
+
+    def rounding(prob, xhat):
+        kept.append((prob, xhat))
+        return mwu.round_solution(prob, xhat, np.random.default_rng(0))
+
+    res = certify_and_round(X, colors, np.array([2, 2, 2]), rounding, eps=1.0, g=0.3, backend=backend)
+    ((prob, xhat),) = kept
+    assert res.extras["counters"]["lp2_violation"] == pytest.approx(mwu.lp2_violation(prob, xhat), abs=1e-12)
 
 
 @pytest.mark.parametrize("quotas", [[0, 0], [1, 0], [0, 1]])
@@ -298,7 +318,7 @@ def test_k_below_two_tries_no_gamma(solver, quotas):
         res = mfd(X, colors, quotas, backend=solver, seed=0)
     want = [int(np.flatnonzero(colors == j)[0]) for j in range(2) if quotas[j]]
     assert res.indices.tolist() == want and res.indices.dtype == np.int64
-    assert res.gamma == 0.0 and res.n_mwu_rounds == 0
+    assert res.gamma == 0.0
     assert res.missed.tolist() == [0, 0]
     assert res.extras["counters"]["incidence_pairs"] == 0
     assert res.extras["counters"]["raw_size"] == 0

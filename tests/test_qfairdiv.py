@@ -101,3 +101,15 @@ def test_negative_color_rejected():
     colors[5] = -1
     with pytest.raises(ValueError):
         QFairDivIndex(X, colors)
+
+
+@pytest.mark.parametrize("bad", ["colors_length", "x_not_2d", "empty"])
+def test_bad_shapes_rejected(bad):
+    """X that is not (n, d), colors that are not (n,), and an empty X raise
+    a clear ValueError, not an index that leaves out the rows without a
+    color or numpy's error for a reduction over an empty array."""
+    X, colors = _instance(30, 2, 0)
+    X, colors = {"colors_length": (X, colors[:25]), "x_not_2d": (X[:, 0], colors),
+                 "empty": (X[:0], colors[:0])}[bad]
+    with pytest.raises(ValueError, match="X must be|empty point set"):
+        QFairDivIndex(X, colors)

@@ -171,6 +171,22 @@ def test_sfdm2_rejects_non_finite_point(bad):
     assert algo.n_seen == 0 and algo.stored_items() == 0
 
 
+@pytest.mark.parametrize("p", [np.zeros(1), np.zeros(3), np.zeros((1, 2)), np.float64(0.0)],
+                         ids=["d1", "d3", "row", "scalar"])
+@pytest.mark.parametrize("algo", ["streammfd", "sfdm2"])
+def test_stream_rejects_point_of_wrong_shape(algo, p):
+    """A point that is not shape (d,) raises ValueError on arrival and
+    stores nothing (it used to be counted and broadcast against the
+    synopsis)."""
+    if algo == "streammfd":
+        inst = StreamMFD(2, 2, per_color_k=4)
+    else:
+        inst = SFDM2(2, np.array([1, 1]), eps=0.5, d_min=0.1, d_max=10.0)
+    with pytest.raises(ValueError, match="shape"):
+        inst.insert(p, 0)
+    assert inst.n_seen == 0 and inst.stored_items() == 0
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
