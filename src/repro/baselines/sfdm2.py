@@ -3,7 +3,7 @@
 Streaming fair diversity maximization. Maintains, for every threshold mu
 in a (1+eps)-geometric grid over [d_min, d_max] (the spread; assumed
 known a priori, as in the original), a color-blind GMM instance S^mu
-(capacity k) and per-color GMM instances S_j^mu (capacity k_j).
+(capacity k) and per-color GMM instances S_j^mu (capacity k_j + k).
 Post-processing scans mu descending and, at separation mu/3, balances
 colors by augmenting deficient colors from their per-color instances
 (the selection's greedy net, :func:`repro.core.geometry.greedy_net`,
@@ -19,13 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.geometry import dists_to_point, greedy_net, pairwise_distances
-from ..core.gonzalez import coreset_numpy
 from ..core.mfd import FairDivResult, check_instance, check_quotas, fallback_selection, gamma_upper_bound
 from ..core.streaming import check_arrival, feed
 
 
 class SFDM2:
-    """Streaming state for SFDM-2. Feed points via :meth:`insert`.
+    """Streaming state for SFDM-2. Feed points via :meth:`insert`, which keeps,
+    per threshold mu, up to k points pairwise >= mu apart color-blind and,
+    per color j, up to k_j + k such points of color j.
 
     Raises ``ValueError`` for an ``eps`` that is not finite and > 0 and for
     a non-finite ``d_min`` or ``d_max * (1 + eps)``; with eps <= 0 or an
@@ -115,40 +116,29 @@ class SFDM2:
                                 stored=self.stored_items())
 
 
-def offline_bounds(Xc: np.ndarray, k: int) -> tuple[float, float]:
-    """[d_min, d_max] for SFDM-2 in the offline experiments (the paper's
-    footnote 5): the smallest non-zero pairwise distance of the MFD coreset
-    ``Xc``, and :func:`repro.core.mfd.gamma_upper_bound` on the coreset,
-    raised to at least 2 d_min. Without a non-zero distance, d_min = 1e-6."""
-    D = pairwise_distances(Xc)
-    pos = D[D > 0]
-    d_min = float(pos.min()) if len(pos) else 1e-6
-    d_max = float(gamma_upper_bound(Xc, k))
-    if not np.isfinite(d_max):
-        d_max = float(pos.max()) if len(pos) else 1.0
-    return d_min, max(d_max, d_min * 2)
-
-
 def sfdm2_offline(
     X: np.ndarray,
     colors: np.ndarray,
     quotas: np.ndarray,
+    coreset: np.ndarray,
     *,
     eps: float,
-    d_min: float | None = None,
-    d_max: float | None = None,
-) -> FairDivResult:
+    deadline: float = np.inf,
+) -> FairDivResult | None:
     """Run SFDM-2 as an offline baseline by streaming the rows of X once
     (this is how [50]'s algorithm is compared in the offline experiments).
-    A bound left as None comes from :func:`offline_bounds` on the serial
-    MFD coreset (k per color)."""
+
+    [d_min, d_max] comes from the points of the MFD ``coreset`` (the paper's
+    footnote 5): its smallest non-zero pairwise distance (1e-6 without one),
+    and :func:`repro.core.mfd.gamma_upper_bound` on it, raised to at least
+    2 d_min. Returns None, the stream unfinished, once
+    :func:`repro.core.streaming.feed` has passed ``deadline``."""
     X, colors, quotas = check_instance(X, colors, quotas)
-    if d_min is None or d_max is None:
-        k = int(quotas.sum())
-        sel, _ = coreset_numpy(X, colors, k)
-        lo, hi = offline_bounds(X[sel], k)
-        d_min = lo if d_min is None else d_min
-        d_max = hi if d_max is None else d_max
-    algo = SFDM2(X.shape[1], quotas, eps=eps, d_min=d_min, d_max=d_max)
-    feed(algo, X, colors)
-    return algo.solution()
+    D = pairwise_distances(coreset)
+    pos = D[D > 0]
+    d_min = float(pos.min()) if len(pos) else 1e-6
+    d_max = float(gamma_upper_bound(coreset, int(quotas.sum())))
+    if not np.isfinite(d_max):
+        d_max = float(pos.max()) if len(pos) else 1.0
+    algo = SFDM2(X.shape[1], quotas, eps=eps, d_min=d_min, d_max=max(d_max, d_min * 2))
+    return algo.solution() if feed(algo, X, colors, deadline=deadline) else None

@@ -15,10 +15,9 @@ Every grid cell, Figs 3-4 and Table 4 included, runs through
   includes the coreset construction.
 - FairFlow and FMMD-S run on the full point set (each builds its own
   candidate structure, as their papers specify).
-- SFDM-2 streams the full point set once (:func:`repro.core.streaming.feed`)
-  at the ε its label ``SFDM-2(e=<x>)`` names;
-  its [d_min, d_max] comes from :func:`repro.baselines.sfdm2.offline_bounds`
-  on the cell's coreset, the one offline bounds protocol (the paper's
+- SFDM-2 is one :func:`repro.baselines.sfdm2.sfdm2_offline` run: it
+  streams the full point set once at the ε its label ``SFDM-2(e=<x>)``
+  names, with [d_min, d_max] from the cell's coreset (the paper's
   footnote 5). Fig 10 instead estimates the spread from a sample
   (footnote 6).
 - MFD and FairGreedyFlow get their quotas on the coreset from
@@ -40,9 +39,10 @@ import numpy as np
 
 from ..baselines.fairflow import fairflow
 from ..baselines.fairgreedyflow import fairgreedyflow
-from ..baselines.fmmds import FMMDSBudgetExceeded, fmmds
-from ..baselines.sfdm2 import SFDM2, offline_bounds
+from ..baselines.fmmds import fmmds
+from ..baselines.sfdm2 import SFDM2, sfdm2_offline
 from ..core.coreset import coreset_arrays, coreset_numpy, to_spark_points
+from ..core.exact import NodeBudgetExceeded
 from ..core.geometry import equal_quotas, pairwise_distances, proportional_quotas
 from ..core.mfd import solve_coreset
 from ..core.streaming import StreamMFD, feed
@@ -171,13 +171,11 @@ def run_algo(
             res = fmmds(X, colors, quotas, node_budget=fmmds_budget)
             dt = time.perf_counter() - t0
         else:  # SFDM-2
-            d_min, d_max = offline_bounds(Xc, int(quotas.sum()))
-            inst = SFDM2(X.shape[1], quotas, d_min=d_min, d_max=d_max, **params)
-            if not feed(inst, X, colors, deadline=t0 + timeout_s):
+            res = sfdm2_offline(X, colors, quotas, Xc, deadline=t0 + timeout_s, **params)
+            if res is None:
                 return np.nan, time.perf_counter() - t0, quotas.copy(), True, "timeout"
-            res = inst.solution()
             dt = time.perf_counter() - t0
-    except FMMDSBudgetExceeded:
+    except NodeBudgetExceeded:
         return np.nan, time.perf_counter() - t0, quotas.copy(), True, "budget"
     if dt > timeout_s:
         return np.nan, dt, quotas.copy(), True, "timeout"

@@ -6,7 +6,8 @@ from repro.core import exact
 from repro.core.geometry import equal_quotas, greedy_net
 from repro.baselines.fairflow import fairflow
 from repro.baselines.fairgreedyflow import fairgreedyflow
-from repro.baselines.fmmds import FMMDSBudgetExceeded, fmmds
+from repro.baselines.fmmds import fmmds
+from repro.core.exact import NodeBudgetExceeded
 
 
 def _instance(n, d, m, seed, spread=4.0):
@@ -71,7 +72,7 @@ def test_fmmds_near_optimal_on_tiny(seed):
 def test_fmmds_budget_exceeded_raises():
     X, colors = _instance(200, 2, 4, 0)
     quotas = equal_quotas(16, 4)
-    with pytest.raises(FMMDSBudgetExceeded):
+    with pytest.raises(NodeBudgetExceeded):
         fmmds(X, colors, quotas, node_budget=50)
 
 
@@ -142,3 +143,19 @@ def test_fairgreedyflow_k_below_two_makes_no_guess(monkeypatch, quotas):
     want = [int(np.flatnonzero(colors == j)[0]) for j in range(2) if quotas[j]]
     assert res.indices.tolist() == want
     assert res.missed.tolist() == [0, 0] and res.gamma == 0.0
+
+
+@pytest.mark.parametrize("quotas", [[3, 3], [0, 0], [1, 0], [0, 1]], ids=["unmeetable", "k0", "k1_c0", "k1_c1"])
+def test_fmmds_answers_like_fairgreedyflow_without_a_search(quotas):
+    """With nothing to search, FMMD-S gives FairGreedyFlow's answer:
+    quotas no set meets (color 1 has 2 rows, quota 3) give MFD's fallback,
+    which misses only the missing row, and k < 2 gives the first row of the
+    needed color; gamma is 0 either way."""
+    X = np.random.default_rng(0).normal(size=(40, 2)) * 4.0
+    colors = np.zeros(40, dtype=np.int64)
+    colors[[5, 17]] = 1
+    quotas = np.array(quotas)
+    got, want = fmmds(X, colors, quotas), fairgreedyflow(X, colors, quotas)
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.missed.tolist() == want.missed.tolist() == [0, int(quotas[1] == 3)]
+    assert got.gamma == want.gamma == 0.0

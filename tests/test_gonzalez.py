@@ -1,8 +1,9 @@
 """Gonzalez k-center: approximation guarantees vs brute-force optimum."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from repro.core import exact
 from repro.core.geometry import dists_to_point, diversity, pairwise_distances
 from repro.core.exact import gonzalez_radius
 from repro.core.gonzalez import gonzalez, gonzalez_order
@@ -13,11 +14,17 @@ def _rand(n, d, seed):
     return np.random.default_rng(seed).normal(size=(n, d))
 
 
+def _kcenter_optimum(X, k):
+    """Exact k-center radius by enumerating all size-k center subsets."""
+    D = pairwise_distances(X)
+    return min(float(D[:, list(sub)].min(axis=1).max()) for sub in combinations(range(len(X)), k))
+
+
 @pytest.mark.parametrize("n,k,seed", [(10, 2, 0), (12, 3, 1), (14, 4, 2), (9, 5, 3)])
 def test_two_approximation_of_kcenter(n, k, seed):
     X = _rand(n, 2, seed)
     idx = gonzalez(X, k)
-    opt = exact.kcenter_optimum(X, k)
+    opt = _kcenter_optimum(X, k)
     assert gonzalez_radius(X, idx) <= 2 * opt + 1e-9
 
 
@@ -115,8 +122,6 @@ def test_maxmin_half_approximation(n, k, seed):
     X = _rand(n, 2, seed)
     idx = gonzalez(X, k)
     # Brute force optimal diversity of any k-subset.
-    from itertools import combinations
-
     best = max(diversity(X[list(s)]) for s in combinations(range(n), k))
     assert diversity(X[idx]) >= best / 2 - 1e-9
     # And it upper bounds nothing smaller: centers diversity <= best.

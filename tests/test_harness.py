@@ -42,6 +42,34 @@ def test_algo_labels_parse_strictly():
             run_algo(bad, X, colors, np.array([2, 2]), coreset=(X, colors), coreset_time=0.0)
 
 
+@pytest.mark.parametrize("algo,kwargs,why", [("FMMD-S", dict(fmmds_budget=5), "budget"),
+                                             ("SFDM-2(e=.75)", dict(timeout_s=0.0), "timeout")],
+                         ids=["fmmds_budget", "sfdm2_timeout"])
+def test_run_algo_records_dnf(monkeypatch, algo, kwargs, why):
+    """FMMD-S past its node budget and SFDM-2 past its deadline are DNF, each
+    with its reason and every quota slot missed; SFDM-2's deadline stops
+    the stream itself (feed reads the clock every 1,024 rows)."""
+    import repro.baselines.sfdm2 as sfdm2_mod
+    from repro.core.gonzalez import coreset_numpy
+    from repro.core.streaming import feed
+
+    fed = []
+
+    def recording_feed(*args, **kwargs):
+        fed.append(feed(*args, **kwargs))
+        return fed[-1]
+
+    monkeypatch.setattr(sfdm2_mod, "feed", recording_feed)
+    rng = np.random.default_rng(0)
+    X, colors = rng.normal(size=(3000, 2)), np.arange(3000) % 2
+    quotas = np.array([4, 4])
+    sel, cc = coreset_numpy(X, colors, 8)
+    div, _, missed, dnf, note = run_algo(algo, X, colors, quotas, coreset=(X[sel], cc), coreset_time=0.0, **kwargs)
+    assert math.isnan(div) and dnf and note == why
+    assert missed.tolist() == [4, 4]
+    assert fed == ([False] if algo.startswith("SFDM-2") else [])
+
+
 def test_sweep_all_algos_tiny():
     records = sweep(
         "adult", [8], ALGOS, scale=0.02, repeats=2, timeout_s=120.0,

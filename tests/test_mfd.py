@@ -197,10 +197,12 @@ def test_bad_input_raises_value_error(bad, solver):
     from repro.baselines.fairgreedyflow import fairgreedyflow
     from repro.baselines.fmmds import fmmds
     from repro.baselines.sfdm2 import sfdm2_offline
+    from repro.core.gonzalez import coreset_numpy
     from repro.core.hp import mfd_hp
     from repro.core.mfd import solve_coreset
 
     X, colors = _instance(30, 2, 2, seed=0)
+    coreset = X[coreset_numpy(X, colors, 4)[0]]  # valid: only the instance is bad
     quotas = {"negative_quota": np.array([-1, 3]), "fractional_quota": np.array([2.7, 2]),
               "quotas_2d": np.array([[2, 2]])}.get(bad, np.array([2, 2]))
     if bad == "nan":
@@ -223,7 +225,7 @@ def test_bad_input_raises_value_error(bad, solver):
         "fairflow": lambda: fairflow(X, colors, quotas),
         "fairgreedyflow": lambda: fairgreedyflow(X, colors, quotas),
         "fmmds": lambda: fmmds(X, colors, quotas),
-        "sfdm2_offline": lambda: sfdm2_offline(X, colors, quotas, eps=0.5),
+        "sfdm2_offline": lambda: sfdm2_offline(X, colors, quotas, coreset, eps=0.5),
     }[solver]
     match = {"colors_length": "X must be", "x_not_2d": "X must be", "quotas_2d": "quotas must be a 1-D array"}
     with pytest.raises(ValueError, match=match.get(bad, "non-finite|color ids|quotas must be non-negative integers")):

@@ -59,7 +59,8 @@ def _solve(entry, X, colors, seed):
     if entry == "qfairdiv":
         index = QFairDivIndex(X, colors, k_max=16)
         return index.query(np.array([-6.0, -6.0]), np.array([6.0, 6.0]), QUOTAS, seed=seed), X, colors
-    res = sfdm2_offline(X, colors, QUOTAS, eps=0.5)
+    sel, _ = coreset_numpy(X, colors, int(QUOTAS.sum()))
+    res = sfdm2_offline(X, colors, QUOTAS, X[sel], eps=0.5)
     pts = res.extras["points"]
     # SFDM-2 stores copies of input rows; the distinct uniform points identify them.
     rows = [int(np.flatnonzero((X == p).all(axis=1))[0]) for p in pts]

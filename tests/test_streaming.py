@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.sfdm2 import SFDM2, sfdm2_offline
 from repro.core.geometry import dists_to_point, equal_quotas, pairwise_distances
 from repro.core.exact import gonzalez_radius
-from repro.core.gonzalez import gonzalez
+from repro.core.gonzalez import coreset_numpy, gonzalez
 from repro.core.streaming import DoublingKCenter, StreamMFD, feed
 
 
@@ -15,6 +15,12 @@ def _stream(n, d, m, seed, spread=5.0):
     colors = rng.integers(0, m, size=n)
     colors[:m] = np.arange(m)
     return X, colors
+
+
+def _sfdm2(X, colors, quotas, *, eps):
+    """The harness's SFDM-2 cell without Spark: bounds from the serial MFD coreset."""
+    sel, _ = coreset_numpy(X, colors, int(quotas.sum()))
+    return sfdm2_offline(X, colors, quotas, X[sel], eps=eps)
 
 
 @pytest.mark.parametrize("k,seed", [(4, 0), (8, 1), (16, 2)])
@@ -78,7 +84,7 @@ def test_streammfd_update_cheaper_than_sfdm2_dense():
 def test_sfdm2_fairness_and_storage(eps):
     X, colors = _stream(800, 2, 3, 13)
     quotas = equal_quotas(6, 3)
-    res = sfdm2_offline(X, colors, quotas, eps=eps)
+    res = _sfdm2(X, colors, quotas, eps=eps)
     assert res.missed.sum() <= 1
     assert res.diversity > 0
     # log(Delta) storage blowup: denser grid stores more.
@@ -89,23 +95,27 @@ def test_sfdm2_dense_grid_at_least_as_diverse():
     """eps=0.15 should (weakly) beat eps=0.75 on diversity — Fig 10 shape."""
     X, colors = _stream(1200, 2, 3, 17)
     quotas = equal_quotas(6, 3)
-    d15 = sfdm2_offline(X, colors, quotas, eps=0.15).diversity
-    d75 = sfdm2_offline(X, colors, quotas, eps=0.75).diversity
+    d15 = _sfdm2(X, colors, quotas, eps=0.15).diversity
+    d75 = _sfdm2(X, colors, quotas, eps=0.75).diversity
     assert d15 >= 0.6 * d75  # allow noise but dense grid must be competitive
 
 
 @pytest.mark.parametrize("identical_points", [False, True])
 @pytest.mark.parametrize("given", [("d_min", "d_max"), ("d_min",), ("d_max",)], ids=["both", "d_min", "d_max"])
 def test_sfdm2_offline_passes_caller_bounds_unchanged(monkeypatch, given, identical_points):
-    """A bound the caller gives reaches SFDM2 as given, also when the other
-    one is computed and the coreset has no non-zero distance (all rows at
-    one location)."""
+    """The bounds SFDM2 receives are those of the coreset the caller passes,
+    not of X, also when every row of X sits at one location: on a coreset
+    of six points 5.75 apart plus one 0.25 from the first, d_min = 0.25 and
+    d_max = 2 * 5.75 (the six Gonzalez centers' diversity, doubled)."""
     import repro.baselines.sfdm2 as sfdm2_mod
 
     X, colors = _stream(300, 2, 3, 23)
     if identical_points:
         X[:] = 1.0
-    bounds = {name: {"d_min": 0.37, "d_max": 11.5}[name] for name in given}
+    coreset = np.zeros((7, 2))
+    coreset[:6, 0] = 5.75 * np.arange(6)
+    coreset[6, 0] = 0.25
+    bounds = {name: {"d_min": 0.25, "d_max": 11.5}[name] for name in given}
     seen = {}
 
     class Recording(SFDM2):
@@ -114,8 +124,27 @@ def test_sfdm2_offline_passes_caller_bounds_unchanged(monkeypatch, given, identi
             super().__init__(d, quotas, eps=eps, d_min=d_min, d_max=d_max)
 
     monkeypatch.setattr(sfdm2_mod, "SFDM2", Recording)
-    sfdm2_offline(X, colors, equal_quotas(6, 3), eps=0.75, **bounds)
+    sfdm2_offline(X, colors, equal_quotas(6, 3), coreset, eps=0.75)
     assert {name: seen[name] for name in given} == bounds
+
+
+def test_sfdm2_offline_bounds_on_identical_rows(monkeypatch):
+    """A coreset with no non-zero distance (all rows at one location) gives
+    d_min = 1e-6 and a grid that still spans d_max >= 2 d_min."""
+    import repro.baselines.sfdm2 as sfdm2_mod
+
+    X, colors = _stream(300, 2, 3, 23)
+    X[:] = 1.0
+    seen = {}
+
+    class Recording(SFDM2):
+        def __init__(self, d, quotas, *, eps, d_min, d_max):
+            seen.update(d_min=d_min, d_max=d_max)
+            super().__init__(d, quotas, eps=eps, d_min=d_min, d_max=d_max)
+
+    monkeypatch.setattr(sfdm2_mod, "SFDM2", Recording)
+    _sfdm2(X, colors, equal_quotas(6, 3), eps=0.75)
+    assert seen["d_min"] == 1e-6 and seen["d_max"] >= 2 * seen["d_min"]
 
 
 def test_feed_stops_at_deadline():
@@ -223,8 +252,9 @@ def test_streammfd_solution_before_any_insert():
 def test_sfdm2_solution_with_an_empty_threshold_grid():
     """d_min above d_max leaves SFDM-2 no threshold: the answer is empty,
     its points are a (0, d) array and it misses every quota."""
-    colors = np.arange(10) % 2
-    res = sfdm2_offline(np.zeros((10, 3)), colors, np.array([1, 1]), eps=0.5, d_min=5.0)
+    algo = SFDM2(3, np.array([1, 1]), eps=0.5, d_min=5.0, d_max=1.0)
+    feed(algo, np.zeros((10, 3)), np.arange(10) % 2)
+    res = algo.solution()
     assert res.extras["n_thresholds"] == 0
     assert len(res.indices) == 0 and res.indices.dtype == np.int64
     assert res.colors.dtype == np.int64 and len(res.colors) == 0
